@@ -130,7 +130,7 @@ def run_held_out(seeds: int) -> None:
               f"   (reference >= 16/20)")
 
 
-def run_regularized(seeds: int, threads: int) -> None:
+def run_regularized(seeds: int) -> None:
     with Section("ridge-regularised fit on the wide recipe (example6)"):
         firsts = []
         for s in range(seeds):
@@ -144,7 +144,6 @@ def run_regularized(seeds: int, threads: int) -> None:
             data,
             RegularizationConfig(c1_grid=grid, c2_grid=grid, n_folds=5,
                                  repetitions=10, seed=7),
-            threads=threads,
         )
         print(f"   cross-validated selection: c1={surface.selected_c1:.4f} "
               f"c2={surface.selected_c2:.4f}   (reference c1 in [0.01, 0.5])")
@@ -233,7 +232,7 @@ def main() -> None:
     run_linear(args.seeds)
     run_significance(args.seeds)
     run_held_out(args.seeds)
-    run_regularized(args.seeds, args.threads)
+    run_regularized(args.seeds)
     run_kernel(args.seeds)
     run_reduced_kernel()
     run_sparse(args.seeds)

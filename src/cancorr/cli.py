@@ -283,7 +283,7 @@ def _cmd_cv(args, tracker: OutputTracker) -> dict:
         repetitions=args.reps,
         seed=seed,
     )
-    surface = cross_validate(data_std, config, threads=args.threads)
+    surface = cross_validate(data_std, config)
     surface_path = tracker.path("cv_surface.csv")
     surface.write_csv(surface_path)
     report = {

@@ -11,10 +11,12 @@ import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PairedDataset
-from .numerics import NumericalError, check_symmetric, gen_eig_sym, partial_gram_schmidt, sym_eig
+from .numerics import (
+    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, svd, sym_eig
+)
 
-# The dense 2n-pencil is only sensible at desk scale; larger problems go
-# through the reduced route.
+# The direct fit eigendecomposes two n x n Grams, which is only sensible at
+# desk scale; larger problems go through the reduced route.
 DIRECT_N_LIMIT = 2000
 
 
@@ -171,6 +173,12 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     ``B = blkdiag((Ka + c1 I)^2, (Kb + c2 I)^2)``; the squared-ridge blocks
     are the regularised dual constraints.  Both ridges must be positive: at
     zero the problem is degenerate and every correlation is trivially 1.
+
+    The pencil is never formed: with ``K = U diag(l) U.T`` per view, its
+    positive eigenvalues are the singular values ``S`` of
+    ``diag(l_a / (l_a + c1)) U_a.T U_b diag(l_b / (l_b + c2)) = P S Q^T``, and
+    ``alpha = U_a diag(1 / (l_a + c1)) P``, ``beta = U_b diag(1 / (l_b + c2)) Q``
+    are signed as the pencil's stacked eigenvectors.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError(
@@ -185,25 +193,31 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
         )
     if not 1 <= r <= n:
         raise ValueError(f"components must satisfy 1 <= r <= n = {n}, got {r}")
-    cross = grams.k_a @ grams.k_b
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = cross
-    a[n:, :n] = cross.T
-    eye = np.eye(n)
-    ba = (grams.k_a + c1 * eye) @ (grams.k_a + c1 * eye)
-    bb = (grams.k_b + c2 * eye) @ (grams.k_b + c2 * eye)
-    b = np.zeros((2 * n, 2 * n))
-    b[:n, :n] = (ba + ba.T) / 2.0
-    b[n:, n:] = (bb + bb.T) / 2.0
-    res = gen_eig_sym(a, b)
-    if res.values[r - 1] <= 1e-12:
+    values_a, vectors_a = scipy.linalg.eigh(grams.k_a)
+    values_b, vectors_b = scipy.linalg.eigh(grams.k_b)
+    ridged_a = values_a + c1
+    ridged_b = values_b + c2
+    constraint = np.concatenate([ridged_a, ridged_b]) ** 2  # the spectrum of B
+    lo, hi = constraint.min(), constraint.max()
+    if hi <= 0 or lo <= hi / COND_LIMIT:
         raise NumericalError(
-            f"only {int(np.sum(res.values > 1e-12))} positive pencil eigenvalues available, "
+            "B is not positive definite within working precision "
+            f"(eigenvalue range [{lo:.3e}, {hi:.3e}]); "
+            "add ridge regularisation to the constraint blocks"
+        )
+    res = svd(
+        (values_a / ridged_a)[:, None] * (vectors_a.T @ vectors_b) * (values_b / ridged_b)
+    )
+    if res.s[r - 1] <= 1e-12:
+        raise NumericalError(
+            f"only {int(np.sum(res.s > 1e-12))} positive pencil eigenvalues available, "
             f"fewer than the requested {r} components"
         )
-    vectors = res.vectors[:, :r]
+    alpha = vectors_a @ (res.u[:, :r] / ridged_a[:, None])
+    beta = vectors_b @ (res.v[:, :r] / ridged_b[:, None])
+    duals = fix_signs(np.vstack([alpha, beta]))
     return _assemble_kernel_model(
-        grams, vectors[:n], vectors[n:], "kernel_pencil", {"c1": c1, "c2": c2}
+        grams, duals[:n], duals[n:], "kernel_pencil", {"c1": c1, "c2": c2}
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
-from .numerics import COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, inv_sqrt_spd, svd
+from .numerics import COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, svd
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
 CLIP_TOL = 1e-8
@@ -68,14 +68,50 @@ def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _check_block_conditioning(c: np.ndarray, name: str, hint: str) -> None:
-    eigs = scipy.linalg.eigvalsh(c)
-    if eigs[-1] <= 0 or eigs[0] <= eigs[-1] / COND_LIMIT:
-        needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
+def _check_conditioning(eigs: np.ndarray, name: str, ridge: float | None = None) -> None:
+    """Reject a singular block from its ascending (ridged) eigenvalues ``eigs``."""
+    if eigs[-1] > 0 and eigs[0] > eigs[-1] / COND_LIMIT:
+        return
+    needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
+    if ridge is None:
         raise NumericalError(
             f"covariance block {name} is numerically singular "
-            f"(condition estimate above {COND_LIMIT:.0e}); {hint.format(needed=needed)}"
+            f"(condition estimate above {COND_LIMIT:.0e}); "
+            f"use fit_regularized with a ridge of at least {needed:.3e} on this block"
         )
+    raise NumericalError(
+        f"covariance block {name} stays numerically singular at ridge {ridge:g}; "
+        f"increase the ridge by at least {needed:.3e}"
+    )
+
+
+class _SpectralCore:
+    """Whiten-then-SVD solver over one eigendecomposition per within-view block.
+
+    With ``C_aa = U_a diag(l_a) U_a.T`` (likewise for view b), the whitened
+    cross block is ``diag((l_a + c1)**-1/2) U_a.T C_ab U_b diag((l_b + c2)**-1/2)
+    = U S V^T`` and ``w_a = U_a diag((l_a + c1)**-1/2) u`` meets the ridged
+    constraint ``w.T (C + c I) w = 1``; a ridge only shifts the eigenvalues.
+    """
+
+    def __init__(self, blocks: CovarianceBlocks):
+        self.values_a, self.vectors_a = scipy.linalg.eigh(blocks.c_aa)
+        self.values_b, self.vectors_b = scipy.linalg.eigh(blocks.c_bb)
+        self.cross = self.vectors_a.T @ blocks.c_ab @ self.vectors_b
+
+    def weights(self, c1: float, c2: float, r: int, ridged: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Top ``r`` weight pairs; ``ridged`` words errors for fit_regularized."""
+        ridged_a = self.values_a + c1
+        ridged_b = self.values_b + c2
+        _check_conditioning(ridged_a, "C_aa", c1 if ridged else None)
+        _check_conditioning(ridged_b, "C_bb", c2 if ridged else None)
+        scale_a = 1.0 / np.sqrt(ridged_a)
+        scale_b = 1.0 / np.sqrt(ridged_b)
+        res = svd(scale_a[:, None] * self.cross * scale_b)
+        _clip_unit_interval(res.s[:r], "singular values")
+        w_a = self.vectors_a @ (scale_a[:, None] * res.u[:, :r])
+        w_b = self.vectors_b @ (scale_b[:, None] * res.v[:, :r])
+        return w_a, w_b
 
 
 def _unit_variance_columns(w: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -124,9 +160,9 @@ def _finalize(data: PairedDataset, w_a: np.ndarray, w_b: np.ndarray, solver: str
 def _eig_core(c_first: np.ndarray, c_second: np.ndarray, c_fs: np.ndarray, r: int):
     """Solve the one-view eigenproblem on the ``second`` (smaller) side.
 
-    Returns unit-metric-scaled weights for both sides given the (possibly
-    ridged) within-view blocks ``c_first``, ``c_second`` and the cross block
-    ``c_fs`` (first rows, second columns).
+    Returns unit-metric-scaled weights for both sides given the within-view
+    blocks ``c_first``, ``c_second`` and the cross block ``c_fs`` (first rows,
+    second columns).
     """
     m = np.linalg.solve(c_second, c_fs.T @ np.linalg.solve(c_first, c_fs))
     values, vectors = np.linalg.eig(m)
@@ -165,9 +201,8 @@ def fit_standard_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     """
     blocks = covariance_blocks(data)
     r = _resolve_r(r, blocks)
-    hint = "use fit_regularized with a ridge of at least {needed:.3e} on this block"
-    _check_block_conditioning(blocks.c_aa, "C_aa", hint)
-    _check_block_conditioning(blocks.c_bb, "C_bb", hint)
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
     if blocks.q <= blocks.p:
         w_a, w_b = _eig_core(blocks.c_aa, blocks.c_bb, blocks.c_ab, r)
     else:
@@ -185,9 +220,8 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     """
     blocks = covariance_blocks(data)
     r = _resolve_r(r, blocks)
-    hint = "use fit_regularized with a ridge of at least {needed:.3e} on this block"
-    _check_block_conditioning(blocks.c_aa, "C_aa", hint)
-    _check_block_conditioning(blocks.c_bb, "C_bb", hint)
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
     p, q = blocks.p, blocks.q
     a = np.zeros((p + q, p + q))
     a[:p, p:] = blocks.c_ab
@@ -207,19 +241,12 @@ def fit_svd(data: PairedDataset, r: int | None = None) -> CcaModel:
 
     With ``M = C_aa**-1/2 @ C_ab @ C_bb**-1/2 = U S V^T`` the correlations
     are the singular values and the weights are the back-transformed singular
-    vectors ``w_a = C_aa**-1/2 u``, ``w_b = C_bb**-1/2 v``.
+    vectors ``w_a = C_aa**-1/2 u``, ``w_b = C_bb**-1/2 v``.  Each block is
+    eigendecomposed once: the inverse square roots are applied in its
+    eigenbasis by the spectral core that the ridge fit and ridge CV share.
     """
     blocks = covariance_blocks(data)
-    r = _resolve_r(r, blocks)
-    hint = "use fit_regularized with a ridge of at least {needed:.3e} on this block"
-    _check_block_conditioning(blocks.c_aa, "C_aa", hint)
-    _check_block_conditioning(blocks.c_bb, "C_bb", hint)
-    isa = inv_sqrt_spd(blocks.c_aa)
-    isb = inv_sqrt_spd(blocks.c_bb)
-    res = svd(isa @ blocks.c_ab @ isb)
-    _clip_unit_interval(res.s[:r], "singular values")
-    w_a = _unit_variance_columns(isa @ res.u[:, :r], blocks.c_aa)
-    w_b = _unit_variance_columns(isb @ res.v[:, :r], blocks.c_bb)
+    w_a, w_b = _SpectralCore(blocks).weights(0.0, 0.0, _resolve_r(r, blocks), ridged=False)
     return _finalize(data, w_a, w_b, "svd")
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
-from scipy.special import gammainc
+from scipy.special import chdtri
 
 # Relative symmetry tolerance for inputs that must be symmetric.
 SYM_RTOL = 1e-12
@@ -203,20 +202,9 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
 
 
 def chi2_quantile(p: float, df: int) -> float:
-    """Quantile of the chi-squared distribution via the regularised incomplete gamma.
-
-    Solves ``P(df/2, x/2) = p`` for ``x`` with bracketed root refinement.
-    """
+    """Quantile of the chi-squared distribution: the ``x`` with ``P(X <= x) = p``."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if int(df) != df or df < 1:
         raise ValueError(f"df must be a positive integer, got {df}")
-    shape = df / 2.0
-
-    def cdf(x):
-        return gammainc(shape, x / 2.0)
-
-    hi = max(4.0 * df, 16.0)
-    while cdf(hi) < p:
-        hi *= 2.0
-    return float(brentq(lambda x: cdf(x) - p, 0.0, hi, xtol=1e-10, maxiter=200))
+    return float(chdtri(df, 1.0 - p))

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import PairedDataset, covariance_blocks, split_folds, standardize, take_rows
-from .linear import CcaModel, _eig_core, _finalize, _resolve_r, project
-from .numerics import COND_LIMIT, NumericalError
+from .linear import CcaModel, _finalize, _resolve_r, _SpectralCore, project
+from .numerics import NumericalError
 
 
 def default_grid() -> np.ndarray:
@@ -64,25 +62,13 @@ class CvSurface:
                     )
 
 
-def _check_ridged(c: np.ndarray, ridge: float, name: str) -> np.ndarray:
-    ridged = c + ridge * np.eye(c.shape[0])
-    eigs = scipy.linalg.eigvalsh(ridged)
-    if eigs[-1] <= 0 or eigs[0] <= eigs[-1] / COND_LIMIT:
-        needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
-        raise NumericalError(
-            f"covariance block {name} stays numerically singular at ridge {ridge:g}; "
-            f"increase the ridge by at least {needed:.3e}"
-        )
-    return ridged
-
-
 def fit_regularized(data: PairedDataset, c1: float, c2: float, r: int | None = None) -> CcaModel:
     """Canonical correlation with ridge terms added to the within-view blocks.
 
     Solves ``inv(C_bb + c2 I) C_ba inv(C_aa + c1 I) C_ab w_b = rho^2 w_b``
-    (posed on the smaller view) with weights scaled to the ridged constraint
-    ``w.T (C + c I) w = 1``.  With ``c1 = c2 = 0`` this reduces to the
-    unregularised fit.
+    with weights scaled to the ridged constraint ``w.T (C + c I) w = 1``, as
+    the SVD of ``(C_aa + c1 I)**-1/2 C_ab (C_bb + c2 I)**-1/2`` taken in the
+    blocks' eigenbases.  With ``c1 = c2 = 0`` this reduces to the unregularised fit.
 
     Reported correlations are the cosines of the unit-norm images, which with
     a ridge sit above the ridged eigenvalues.
@@ -90,47 +76,23 @@ def fit_regularized(data: PairedDataset, c1: float, c2: float, r: int | None = N
     if c1 < 0 or c2 < 0:
         raise ValueError(f"ridge constants must be nonnegative, got c1={c1}, c2={c2}")
     blocks = covariance_blocks(data)
-    r = _resolve_r(r, blocks)
-    ca = _check_ridged(blocks.c_aa, c1, "C_aa")
-    cb = _check_ridged(blocks.c_bb, c2, "C_bb")
-    if blocks.q <= blocks.p:
-        w_a, w_b = _eig_core(ca, cb, blocks.c_ab, r)
-    else:
-        w_b, w_a = _eig_core(cb, ca, blocks.c_ba, r)
+    w_a, w_b = _SpectralCore(blocks).weights(c1, c2, _resolve_r(r, blocks), ridged=True)
     return _finalize(data, w_a, w_b, f"ridge(c1={c1:g},c2={c2:g})")
 
 
-def _fold_pairs(data: PairedDataset, n_folds: int, seed: int):
-    """Standardize each train/test fold pair with its own statistics."""
-    folds = split_folds(data.n, n_folds, seed)
-    pairs = []
-    for f in range(n_folds):
-        train = standardize(take_rows(data, folds.train_indices(f)))
-        test = standardize(take_rows(data, folds.test_indices(f)))
-        pairs.append((train, test))
-    return pairs
-
-
-def _fold_score(train: PairedDataset, test: PairedDataset, c1: float, c2: float) -> float:
-    """Held-out first-component cosine, or the -1 sentinel when the fit fails."""
-    try:
-        model = fit_regularized(train, c1, c2, r=1)
-        return float(project(model, test).correlations[0])
-    except NumericalError:
-        return -1.0
-
-
-def cross_validate(
-    data: PairedDataset, config: RegularizationConfig, threads: int = 1
-) -> CvSurface:
+def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurface:
     """Repeated k-fold search over the ridge grid.
 
     For every repetition a fresh fold split is drawn (seed + repetition
     index); each train and test fold is standardized with its own statistics;
     the first canonical component is fitted on the train folds and scored by
-    the cosine of the held-out images.  Scores are averaged over folds, then
-    over repetitions.  The selected cell maximises the mean score; exact ties
-    go to the smallest c1 + c2 (then smallest c1).
+    the cosine of the held-out images.  Each training fold's blocks are
+    eigendecomposed once and every grid cell is solved from that spectrum by
+    the spectral core of :func:`fit_regularized`.  A fit that fails scores
+    -1.  Scores are averaged over folds, then over repetitions.  The selected
+    cell maximises the mean score among the cells whose fits succeeded on
+    every fold; exact ties go to the smallest c1 + c2 (then smallest c1).
+    Raises NumericalError when no cell fitted on every fold.
     """
     if data.n < 2 * config.n_folds:
         raise ValueError(
@@ -138,35 +100,40 @@ def cross_validate(
         )
     shape = (len(config.c1_grid), len(config.c2_grid))
     total = np.zeros(shape)
-    cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+    complete = np.ones(shape, dtype=bool)
     for rep in range(config.repetitions):
-        pairs = _fold_pairs(data, config.n_folds, config.seed + rep)
-
-        def cell_mean(cell):
-            i, j = cell
-            c1, c2 = config.c1_grid[i], config.c2_grid[j]
-            return np.mean([_fold_score(tr, te, c1, c2) for tr, te in pairs])
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                means = list(pool.map(cell_mean, cells))
-        else:
-            means = [cell_mean(cell) for cell in cells]
-        for (i, j), m in zip(cells, means):
-            total[i, j] += m
+        folds = split_folds(data.n, config.n_folds, config.seed + rep)
+        fold_scores = np.empty((config.n_folds, *shape))
+        for f in range(config.n_folds):
+            train = standardize(take_rows(data, folds.train_indices(f)))
+            test = standardize(take_rows(data, folds.test_indices(f)))
+            core = _SpectralCore(covariance_blocks(train))
+            for i, c1 in enumerate(config.c1_grid):
+                for j, c2 in enumerate(config.c2_grid):
+                    try:
+                        w_a, w_b = core.weights(c1, c2, 1, ridged=True)
+                        model = _finalize(train, w_a, w_b, "cv")
+                        fold_scores[f, i, j] = project(model, test).correlations[0]
+                    except NumericalError:
+                        fold_scores[f, i, j] = -1.0
+                        complete[i, j] = False
+        total += fold_scores.mean(axis=0)
     scores = total / config.repetitions
-    best = None
-    best_key = None
-    for i, c1 in enumerate(config.c1_grid):
-        for j, c2 in enumerate(config.c2_grid):
-            key = (-scores[i, j], c1 + c2, c1, c2)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (c1, c2)
+    keys = [
+        (-scores[i, j], c1 + c2, c1, c2)
+        for i, c1 in enumerate(config.c1_grid)
+        for j, c2 in enumerate(config.c2_grid)
+        if complete[i, j]
+    ]
+    if not keys:
+        raise NumericalError(
+            "no ridge pair on the grid fitted on every fold; increase the ridges on the grid"
+        )
+    _, _, best_c1, best_c2 = min(keys)
     return CvSurface(
         c1_grid=config.c1_grid,
         c2_grid=config.c2_grid,
         scores=scores,
-        selected_c1=best[0],
-        selected_c2=best[1],
+        selected_c1=best_c1,
+        selected_c2=best_c2,
     )

@@ -213,7 +213,7 @@ class TestRidgeRegularization:
         config = RegularizationConfig(
             c1_grid=grid, c2_grid=grid, n_folds=5, repetitions=10, seed=7
         )
-        surface = cross_validate(data, config, threads=4)
+        surface = cross_validate(data, config)
         assert 0.01 <= surface.selected_c1 <= 0.5
         assert time.perf_counter() - started < 180.0
 

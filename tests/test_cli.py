@@ -148,6 +148,13 @@ class TestCvCommand:
         assert surface[0] == ["c1", "c2", "mean_test_correlation"]
         assert len(surface) == 1 + 15 * 15
 
+    def test_grid_without_a_working_ridge_exits_with_numerical_code(self, tmp_path):
+        rc = run("cv", "--recipe", "example6", "--seed", "0", "--grid-c1", "0",
+                 "--grid-c2", "0", "--reps", "1", "--out", tmp_path)
+        assert rc == 3
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "cv_surface.csv").exists()
+
     def test_thread_count_does_not_change_results(self, tmp_path):
         outs = {}
         for threads in ("1", "4"):

@@ -17,6 +17,7 @@ from cancorr import (
     fit_kernel_cca,
     fit_kernel_cca_pgso,
     fit_regularized,
+    gen_eig_sym,
     generate_synthetic,
     get_recipe,
     gram,
@@ -34,6 +35,34 @@ def gaussian_pair(data: PairedDataset) -> GramPair:
         KernelSpec("gaussian", median_heuristic(data.view_a)),
         KernelSpec("gaussian", median_heuristic(data.view_b)),
     )
+
+
+def pencil_kernel_fit(pair: GramPair, c1: float, c2: float, r: int):
+    """Reference solve: the symmetric 2n pencil ``A v = rho B v`` with
+    ``A = [[0, Ka Kb], [Kb Ka, 0]]``, ``B = blkdiag((Ka + c1 I)^2, (Kb + c2 I)^2)``.
+
+    Returns the sorted image cosines and the signed unit-norm images, with the
+    duals taken from the pencil's sign-fixed eigenvectors.
+    """
+    n = pair.n
+    cross = pair.k_a @ pair.k_b
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = cross
+    a[n:, :n] = cross.T
+    b = np.zeros((2 * n, 2 * n))
+    for block, k, c in ((slice(0, n), pair.k_a, c1), (slice(n, 2 * n), pair.k_b, c2)):
+        ridged = k + c * np.eye(n)
+        square = ridged @ ridged
+        b[block, block] = (square + square.T) / 2.0
+    vectors = gen_eig_sym(a, b).vectors[:, :r]
+    z_a = pair.k_a @ vectors[:n]
+    z_b = pair.k_b @ vectors[n:]
+    z_a = z_a / np.linalg.norm(z_a, axis=0)
+    z_b = z_b / np.linalg.norm(z_b, axis=0)
+    corr = np.einsum("ij,ij->j", z_a, z_b)
+    z_b = z_b * np.sign(corr)
+    order = np.argsort(-np.abs(corr), kind="stable")
+    return np.abs(corr)[order], z_a[:, order], z_b[:, order]
 
 
 class TestKernelSpec:
@@ -184,6 +213,16 @@ class TestFitKernelCca:
         pair = build_gram_pair(tiny, KernelSpec("linear"), KernelSpec("linear"))
         with pytest.raises(NumericalError, match="positive pencil eigenvalues"):
             fit_kernel_cca(pair, 0.1, 0.1, 3)
+
+    def test_matches_the_2n_pencil_with_its_signs(self):
+        for seed in (0, 1):
+            pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=seed)))
+            for c in (0.05, 0.6, 1.5):
+                corr, z_a, z_b = pencil_kernel_fit(pair, c, c, 3)
+                model = fit_kernel_cca(pair, c, c, 3)
+                assert np.abs(model.correlations - corr).max() <= 1e-10
+                assert np.abs(model.z_a - z_a).max() <= 1e-8
+                assert np.abs(model.z_b - z_b).max() <= 1e-8
 
     def test_model_geometry(self):
         data = generate_synthetic(get_recipe("example7", seed=2))

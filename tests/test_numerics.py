@@ -1,5 +1,10 @@
 """Decomposition helpers: hand-checked values, reconstruction oracles, properties."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,6 +213,18 @@ class TestChi2Quantile:
             chi2_quantile(1.0, 2)
         with pytest.raises(ValueError):
             chi2_quantile(0.5, 0)
+
+    def test_package_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize costs about a tenth of a second of every CLI start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cancorr; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestHelpers:

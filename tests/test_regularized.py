@@ -4,15 +4,18 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cancorr import (
     NumericalError,
     PairedDataset,
     RegularizationConfig,
+    covariance_blocks,
     cross_validate,
     fit_regularized,
     fit_standard_eig,
     fit_svd,
+    gen_eig_sym,
     generate_synthetic,
     get_recipe,
     standardize,
@@ -26,6 +29,30 @@ def example6(seed: int) -> PairedDataset:
     return generate_synthetic(get_recipe("example6", seed=seed))
 
 
+def pencil_ridge_fit(data: PairedDataset, c1: float, c2: float, r: int):
+    """Reference solve: the ridged (p + q) pencil ``A v = rho B v`` with
+    ``A = [[0, C_ab], [C_ba, 0]]``, ``B = blkdiag(C_aa + c1 I, C_bb + c2 I)``.
+
+    Returns the image cosines and unit-norm images, sorted as fit_regularized
+    sorts them.
+    """
+    blocks = covariance_blocks(data)
+    p, q = blocks.p, blocks.q
+    a = np.zeros((p + q, p + q))
+    a[:p, p:] = blocks.c_ab
+    a[p:, :p] = blocks.c_ba
+    b = scipy.linalg.block_diag(blocks.c_aa + c1 * np.eye(p), blocks.c_bb + c2 * np.eye(q))
+    vectors = gen_eig_sym(a, b).vectors[:, :r]
+    z_a = data.view_a @ vectors[:p]
+    z_b = data.view_b @ vectors[p:]
+    z_a = z_a / np.linalg.norm(z_a, axis=0)
+    z_b = z_b / np.linalg.norm(z_b, axis=0)
+    corr = np.einsum("ij,ij->j", z_a, z_b)
+    z_b = z_b * np.sign(corr)
+    order = np.argsort(-np.abs(corr), kind="stable")
+    return np.abs(corr)[order], z_a[:, order], z_b[:, order]
+
+
 class TestFitRegularized:
     def test_zero_ridge_matches_standard_fit(self):
         rng = np.random.default_rng(4)
@@ -37,6 +64,26 @@ class TestFitRegularized:
         assert np.abs(plain.correlations - ridged.correlations).max() <= 1e-8
         assert np.abs(plain.w_a - ridged.w_a).max() <= 1e-6
         assert np.abs(plain.w_b - ridged.w_b).max() <= 1e-6
+
+    @pytest.mark.parametrize(
+        "recipe, ridges",
+        [
+            ("example1", [(0.0, 0.0), (0.09, 0.0), (1.0, 0.5)]),
+            ("example6", [(0.09, 0.0), (0.5, 0.1), (10.0, 1.0)]),
+            ("example9", [(0.1, 0.1), (1.0, 1.0), (10.0, 0.5)]),
+        ],
+    )
+    def test_matches_the_ridged_pencil(self, recipe, ridges):
+        for seed in (0, 1):
+            data = generate_synthetic(get_recipe(recipe, seed=seed))
+            r = min(data.p, data.q, 10)
+            for c1, c2 in ridges:
+                corr, z_a, z_b = pencil_ridge_fit(data, c1, c2, r)
+                model = fit_regularized(data, c1, c2, r=r)
+                assert np.abs(model.correlations - corr).max() <= 1e-10
+                sign = np.sign(np.einsum("ij,ij->j", z_a, model.z_a))
+                assert np.abs(model.z_a - sign * z_a).max() <= 1e-8
+                assert np.abs(model.z_b - sign * z_b).max() <= 1e-8
 
     def test_wide_view_needs_the_ridge(self):
         data = example6(0)
@@ -129,22 +176,31 @@ class TestCrossValidate:
         assert surface.scores[0, 0] == -1.0
         assert surface.selected_c1 == 0.09
 
+    def test_no_cell_fitting_every_fold_is_an_error(self):
+        rng = np.random.default_rng(5)
+        data = standardize(
+            PairedDataset(rng.standard_normal((20, 30)), rng.standard_normal((20, 2)))
+        )
+        cfg = RegularizationConfig(c1_grid=(0.0,), c2_grid=(0.0,), n_folds=5, repetitions=1)
+        with pytest.raises(NumericalError, match="every fold"):
+            cross_validate(data, cfg)
+
     def test_scores_bounded(self):
         data = example6(1)
         cfg = RegularizationConfig(
             c1_grid=(0.01, 0.1, 1.0), c2_grid=(0.0,), n_folds=5, repetitions=2
         )
-        surface = cross_validate(data, cfg, threads=3)
+        surface = cross_validate(data, cfg)
         assert np.all(surface.scores >= -1.0)
         assert np.all(surface.scores <= 1.0)
 
-    def test_deterministic_given_seed_and_threads_do_not_matter(self):
+    def test_deterministic_given_seed(self):
         data = example6(2)
         cfg = RegularizationConfig(
             c1_grid=(0.01, 0.1), c2_grid=(0.0, 0.1), n_folds=5, repetitions=2
         )
-        first = cross_validate(data, cfg, threads=1)
-        second = cross_validate(data, cfg, threads=4)
+        first = cross_validate(data, cfg)
+        second = cross_validate(data, cfg)
         assert np.array_equal(first.scores, second.scores)
         assert first.selected_c1 == second.selected_c1
         assert first.selected_c2 == second.selected_c2
@@ -173,7 +229,6 @@ class TestCrossValidate:
             RegularizationConfig(
                 c1_grid=ACCEPT_GRID, c2_grid=(0.0,), n_folds=5, repetitions=10, seed=0
             ),
-            threads=4,
         )
         assert 0.01 <= surface.selected_c1 <= 0.5
 
@@ -184,7 +239,6 @@ class TestCrossValidate:
                 RegularizationConfig(
                     c1_grid=FULL_GRID, c2_grid=(0.0,), n_folds=5, repetitions=2, seed=0
                 ),
-                threads=4,
             )
             assert surface.selected_c1 != FULL_GRID[-1]
             assert surface.scores[-1, 0] < surface.scores.max()
