@@ -6,7 +6,7 @@ to the reference ones the test suite pins.  Useful as a quick health check on
 a new machine and as a worked example of the library API.
 
 Usage:
-    python scripts/reproduce_benchmarks.py [--seeds N] [--threads T]
+    python scripts/reproduce_benchmarks.py [--seeds N]
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def run_sparse(seeds: int) -> None:
               f"{hits}/{seeds} seeds")
 
 
-def run_primal_dual(threads: int) -> None:
+def run_primal_dual() -> None:
     with Section("primal-dual sparse fit on the unstructured recipe (example10)"):
         data = generate_synthetic(get_recipe("example10", seed=0))
         pair = build_gram_pair(
@@ -215,7 +215,7 @@ def run_primal_dual(threads: int) -> None:
             KernelSpec("gaussian", median_heuristic(data.view_b)),
         )
         penalty = 0.45 * float(np.abs(data.view_a.T @ pair.k_b).max())
-        best = scan_basis(data.view_a, pair.k_b, penalty, penalty, threads=threads)
+        best = scan_basis(data.view_a, pair.k_b, penalty, penalty)
         nnz = int(np.count_nonzero(best.w_a))
         print(f"   best basis column {best.basis_index}: objective {best.objective:.4f}, "
               f"correlation {best.correlation:.3f}, {nnz}/{data.p} nonzero weights")
@@ -225,7 +225,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=20,
                         help="seeds per multi-seed summary (default 20)")
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
 
     started = time.perf_counter()
@@ -236,7 +235,7 @@ def main() -> None:
     run_kernel(args.seeds)
     run_reduced_kernel()
     run_sparse(args.seeds)
-    run_primal_dual(args.threads)
+    run_primal_dual()
     print(f"\ntotal: {time.perf_counter() - started:.1f}s")
 
 

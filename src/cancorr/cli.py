@@ -402,7 +402,7 @@ def _cmd_pdscca(args, tracker: OutputTracker) -> dict:
     if args.basis is not None:
         result = fit_primal_dual(x_a, k_b, mu, gamma, args.basis)
     else:
-        result = scan_basis(x_a, k_b, mu, gamma, threads=args.threads)
+        result = scan_basis(x_a, k_b, mu, gamma)
     wa_path = tracker.path("sparse_weights_a.csv")
     _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a[:, None])
     report = {
@@ -417,6 +417,7 @@ def _cmd_pdscca(args, tracker: OutputTracker) -> dict:
         "correlation": result.correlation,
         "degenerate": result.degenerate,
         "converged": result.converged,
+        "inner_sweep_cap_hits": result.inner_capped,
         "nonzeros_a": int(np.count_nonzero(result.w_a)),
         "files": {"weights_a": wa_path.name},
     }
@@ -537,7 +538,7 @@ def _add_common_args(sub):
     sub.add_argument("--out", type=Path, default=Path("."),
                      help="directory for the report and CSV side files")
     sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="bound on internal parallelism")
+                     help="accepted and echoed in report.json; no command uses it")
 
 
 def build_parser() -> argparse.ArgumentParser:

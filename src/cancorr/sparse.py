@@ -4,7 +4,6 @@ basis column."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,8 @@ PMD_MAX_ITER = 500
 
 PD_TOL = 1e-8
 PD_MAX_OUTER = 1000
+PD_MAX_SWEEPS = 100
+PD_SWEEP_TOL = 1e-10
 
 
 def soft_threshold(a, c: float) -> np.ndarray:
@@ -168,7 +169,8 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
 
 @dataclass(frozen=True)
 class PrimalDualResult:
-    """Sparse primal weights matched to one kernel basis column."""
+    """Sparse primal weights matched to one kernel basis column.  ``inner_capped``
+    counts the inner lasso solves that stopped at ``PD_MAX_SWEEPS`` sweeps."""
 
     w_a: np.ndarray
     beta: np.ndarray
@@ -179,53 +181,121 @@ class PrimalDualResult:
     converged: bool
     n_iterations: int
     objective_history: np.ndarray
+    inner_capped: int = 0
 
 
-def _coordinate_lasso(
-    design: np.ndarray,
-    response: np.ndarray,
-    penalty: float,
-    start: np.ndarray,
-    box: float | None = None,
-    max_sweeps: int = 100,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Exact coordinate descent for ``||response - design @ coef||^2 + penalty ||coef||_1``.
+def _batched_lasso(design, response, penalty, coef, box=None, pinned=None) -> np.ndarray:
+    """Exact coordinate descent for ``||response - design @ coef||^2 + penalty ||coef||_1``,
+    one problem per column of ``coef`` (updated in place), all in lockstep.
 
     With ``box`` set, each coordinate is additionally clipped to
     ``[-box, box]`` (still the exact coordinate-wise minimiser of the convex
-    objective, so every update decreases it).
+    objective, so every update decreases it); problem ``b`` holds coordinate
+    ``pinned[b]`` fixed.  A problem leaves the live columns after a sweep that
+    moves no coordinate by more than ``PD_SWEEP_TOL``.  Returns the mask of
+    problems still moving after ``PD_MAX_SWEEPS`` sweeps.
     """
-    coef = np.array(start, dtype=float, copy=True)
     col_sq = np.einsum("ij,ij->j", design, design)
-    resid = response - design @ coef
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(coef.size):
-            if col_sq[j] <= 0:
-                continue
-            rho_j = design[:, j] @ resid + col_sq[j] * coef[j]
-            new = np.sign(rho_j) * max(abs(rho_j) - penalty / 2.0, 0.0) / col_sq[j]
+    steps = [(j, design[:, j].copy(), design[:, j, None], col_sq[j])
+             for j in np.flatnonzero(col_sq > 0)]
+    half = penalty / 2.0
+    live, c = np.arange(coef.shape[1]), coef.copy()
+    resid = response - design @ c
+    for _ in range(PD_MAX_SWEEPS):
+        start = c.copy()
+        for j, x, x_col, sq in steps:
+            c_j = c[j]
+            rho = x @ resid
+            rho += sq * c_j
+            # sign(rho) * max(|rho| - half, 0), bit for bit
+            new = rho - np.minimum(np.maximum(rho, -half), half)
+            new /= sq
             if box is not None:
-                new = min(max(new, -box), box)
-            if new != coef[j]:
-                resid += design[:, j] * (coef[j] - new)
-                max_delta = max(max_delta, abs(new - coef[j]))
-                coef[j] = new
-        if max_delta <= tol:
+                np.minimum(np.maximum(new, -box, out=new), box, out=new)
+            if pinned is not None:
+                np.copyto(new, c_j, where=pinned == j)
+            c_j -= new
+            resid += x_col * c_j
+            c_j[...] = new
+        # each coordinate moves once per sweep; fmax ignores NaN moves
+        moving = np.fmax.reduce(np.abs(c - start), axis=0, initial=0.0) > PD_SWEEP_TOL
+        if not moving.all():
+            coef[:, live] = c
+            live, c, resid = live[moving], c[:, moving], resid[:, moving]
+            pinned = None if pinned is None else pinned[moving]
+            if not live.size:
+                break
+    coef[:, live] = c
+    return np.isin(np.arange(coef.shape[1]), live)
+
+
+def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list[PrimalDualResult]:
+    """Run the primal-dual alternation in lockstep for one basis column, or for
+    all of them when ``basis_index`` is None.  A problem leaves the outer rounds
+    once its objective decreases by at most ``tol`` or stops being finite, and
+    takes no further arithmetic, so it keeps its one-column iterates up to rounding."""
+    x_a = as_checked_array(x_a, "view a")
+    k_b = as_checked_array(k_b, "kernel matrix")
+    if x_a.ndim != 2 or k_b.ndim != 2 or k_b.shape[0] != k_b.shape[1]:
+        raise ValueError("expected a 2-d view and a square kernel matrix")
+    n, p = x_a.shape
+    if k_b.shape[0] != n:
+        raise ValueError(f"row counts differ: view a has {n}, kernel matrix has {k_b.shape[0]}")
+    if mu < 0 or gamma < 0:
+        raise ValueError(f"penalties must be nonnegative, got mu={mu}, gamma={gamma}")
+    if basis_index is not None and not 0 <= basis_index < n:
+        raise ValueError(f"basis_index must lie in [0, {n}), got {basis_index}")
+    basis = np.arange(n) if basis_index is None else np.array([basis_index])
+    cols = np.arange(basis.size)
+    w, beta = np.zeros((p, basis.size)), np.zeros((n, basis.size))
+    beta[basis, cols] = 1.0
+    free = beta == 0.0
+
+    def objective(live):
+        fit = x_a @ w[:, live] - k_b @ beta[:, live]
+        return (np.einsum("ij,ij->j", fit, fit) + mu * np.abs(w[:, live]).sum(axis=0)
+                + gamma * np.abs(np.where(free[:, live], beta[:, live], 0.0)).sum(axis=0))
+
+    last = objective(cols)
+    histories = [[float(f)] for f in last]
+    converged = np.zeros(basis.size, dtype=bool)
+    rounds, capped = np.zeros(basis.size, dtype=int), np.zeros(basis.size, dtype=int)
+    live = cols
+    for outer in range(1, max_outer + 1):
+        w_live, beta_live = w[:, live], beta[:, live]
+        capped[live] += _batched_lasso(x_a, k_b @ beta_live, mu, w_live)
+        capped[live] += _batched_lasso(k_b, x_a @ w_live, gamma, beta_live,
+                                       box=1.0, pinned=basis[live])
+        w[:, live], beta[:, live] = w_live, beta_live
+        f = objective(live)
+        for b, f_b in zip(live, f):
+            histories[b].append(float(f_b))
+        rounds[live] = outer
+        finite = np.isfinite(f)
+        converged[live] = finite & (last[live] - f <= tol)
+        last[live] = f
+        live = live[finite & ~converged[live]]
+        if not live.size:
             break
-    return coef
+    results = []
+    for b in cols:
+        w_b, beta_b = w[:, b].copy(), beta[:, b].copy()
+        z_a, z_b = x_a @ w_b, k_b @ beta_b
+        norm_a, norm_b = float(np.linalg.norm(z_a)), float(np.linalg.norm(z_b))
+        correlation = 0.0
+        if norm_a > 0 and norm_b > 0:
+            correlation = float((z_a / norm_a) @ (z_b / norm_b))
+        results.append(PrimalDualResult(
+            w_a=w_b, beta=beta_b, objective=histories[b][-1], correlation=correlation,
+            basis_index=int(basis[b]), degenerate=not np.any(w_b),
+            converged=bool(converged[b]), n_iterations=int(rounds[b]),
+            objective_history=np.asarray(histories[b]), inner_capped=int(capped[b]),
+        ))
+    return results
 
 
-def fit_primal_dual(
-    x_a,
-    k_b,
-    mu: float,
-    gamma: float,
-    basis_index: int,
-    max_outer: int = PD_MAX_OUTER,
-    tol: float = PD_TOL,
-) -> PrimalDualResult:
+def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int,
+                    max_outer: int = PD_MAX_OUTER, tol: float = PD_TOL) -> PrimalDualResult:
     """Match sparse primal weights against one kernel basis column.
 
     Minimises ``||X_a w - K_b beta||^2 + mu ||w||_1 + gamma ||beta_rest||_1``
@@ -234,97 +304,26 @@ def fit_primal_dual(
     entry.  Alternates exact coordinate descent on ``w`` and on the free dual
     entries; the objective is monotone non-increasing and iteration stops
     when it decreases by at most ``tol`` (or after ``max_outer`` rounds).
+    This is the one-column run of the batched core behind ``scan_basis``.
+    Raises ``NumericalError`` when the objective is not finite.
     """
-    x_a = as_checked_array(x_a, "view a")
-    k_b = as_checked_array(k_b, "kernel matrix")
-    if x_a.ndim != 2 or k_b.ndim != 2 or k_b.shape[0] != k_b.shape[1]:
-        raise ValueError("expected a 2-d view and a square kernel matrix")
-    n, p = x_a.shape
-    if k_b.shape[0] != n:
-        raise ValueError(
-            f"row counts differ: view a has {n}, kernel matrix has {k_b.shape[0]}"
-        )
-    if mu < 0 or gamma < 0:
-        raise ValueError(f"penalties must be nonnegative, got mu={mu}, gamma={gamma}")
-    if not 0 <= basis_index < n:
-        raise ValueError(f"basis_index must lie in [0, {n}), got {basis_index}")
-    free = np.arange(n) != basis_index
-    k_free = k_b[:, free]
-    k_pinned = k_b[:, basis_index]
-    w = np.zeros(p)
-    beta_free = np.zeros(n - 1)
-
-    def objective(wv, bf):
-        fit = x_a @ wv - (k_pinned + k_free @ bf)
-        return float(fit @ fit + mu * np.abs(wv).sum() + gamma * np.abs(bf).sum())
-
-    history = [objective(w, beta_free)]
-    converged = False
-    outer = 0
-    for outer in range(1, max_outer + 1):
-        w = _coordinate_lasso(x_a, k_pinned + k_free @ beta_free, mu, w)
-        beta_free = _coordinate_lasso(k_free, x_a @ w - k_pinned, gamma, beta_free, box=1.0)
-        f = objective(w, beta_free)
-        history.append(f)
-        if history[-2] - f <= tol:
-            converged = True
-            break
-    beta = np.ones(n)
-    beta[free] = beta_free
-    z_a = x_a @ w
-    z_b = k_b @ beta
-    norm_a = float(np.linalg.norm(z_a))
-    norm_b = float(np.linalg.norm(z_b))
-    degenerate = not np.any(w)
-    correlation = 0.0
-    if norm_a > 0 and norm_b > 0:
-        correlation = float((z_a / norm_a) @ (z_b / norm_b))
-    return PrimalDualResult(
-        w_a=w,
-        beta=beta,
-        objective=history[-1],
-        correlation=correlation,
-        basis_index=int(basis_index),
-        degenerate=degenerate,
-        converged=converged,
-        n_iterations=outer,
-        objective_history=np.asarray(history),
-    )
+    (result,) = _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol)
+    if not np.isfinite(result.objective):
+        raise NumericalError(f"objective for basis {basis_index} is not finite: {result.objective}")
+    return result
 
 
-def scan_basis(
-    x_a,
-    k_b,
-    mu: float,
-    gamma: float,
-    threads: int = 1,
-    **kwargs,
-) -> PrimalDualResult:
+def scan_basis(x_a, k_b, mu: float, gamma: float,
+               max_outer: int = PD_MAX_OUTER, tol: float = PD_TOL) -> PrimalDualResult:
     """Fit every kernel basis column and keep the lowest-objective solution.
 
-    Individual fits that fail numerically are skipped; ties in the objective
-    go to the smaller basis index.  Raises if every basis column fails.
+    The n problems of ``fit_primal_dual`` run in lockstep, vectorised across
+    basis columns, each with its one-column iterates up to rounding.  A column
+    whose objective is not finite counts as failed; ties in the objective go
+    to the smaller basis index.  Raises ``NumericalError`` if every column fails.
     """
-    k_b = as_checked_array(k_b, "kernel matrix")
-    n = k_b.shape[0]
-
-    def run(k):
-        try:
-            return fit_primal_dual(x_a, k_b, mu, gamma, k, **kwargs)
-        except (NumericalError, ValueError):
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n)))
-    else:
-        results = [run(k) for k in range(n)]
-    best = None
-    for res in results:
-        if res is None:
-            continue
-        if best is None or res.objective < best.objective:
-            best = res
-    if best is None:
-        raise NumericalError("every basis column failed to fit")
-    return best
+    results = _primal_dual_batch(x_a, k_b, mu, gamma, None, max_outer, tol)
+    finite = [res for res in results if np.isfinite(res.objective)]
+    if not finite:
+        raise NumericalError("every basis column failed to fit: no objective is finite")
+    return min(finite, key=lambda res: res.objective)

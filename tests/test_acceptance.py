@@ -323,7 +323,7 @@ class TestPrimalDualSparse:
 
     def test_objective_and_constraints(self):
         data, k_b, penalty = self._fixture()
-        best = scan_basis(data.view_a, k_b, penalty, penalty, threads=4)
+        best = scan_basis(data.view_a, k_b, penalty, penalty)
         result = fit_primal_dual(data.view_a, k_b, penalty, penalty, best.basis_index)
         history = np.asarray(result.objective_history)
         assert np.all(np.diff(history) <= 1e-9)
@@ -333,7 +333,7 @@ class TestPrimalDualSparse:
 
     def test_scan_returns_verified_minimum(self):
         data, k_b, penalty = self._fixture()
-        best = scan_basis(data.view_a, k_b, penalty, penalty, threads=4)
+        best = scan_basis(data.view_a, k_b, penalty, penalty)
         serial_best = None
         for k in range(k_b.shape[0]):
             try:
@@ -347,7 +347,7 @@ class TestPrimalDualSparse:
 
     def test_best_basis_is_sparse_and_correlated(self):
         data, k_b, penalty = self._fixture()
-        best = scan_basis(data.view_a, k_b, penalty, penalty, threads=4)
+        best = scan_basis(data.view_a, k_b, penalty, penalty)
         assert 0.5 <= best.correlation < 1.0
         assert np.count_nonzero(best.w_a) <= 0.2 * data.p
 

@@ -295,6 +295,9 @@ class TestPdsccaCommand:
         assert pinned["objective"] == pytest.approx(rep["objective"], abs=1e-12)
         assert pinned["correlation"] == pytest.approx(rep["correlation"], abs=1e-12)
         assert pinned["nonzeros_a"] == rep["nonzeros_a"]
+        # the pinned fit repeats the scan's iterates for that basis, caps included
+        assert isinstance(rep["inner_sweep_cap_hits"], int)
+        assert pinned["inner_sweep_cap_hits"] == rep["inner_sweep_cap_hits"]
 
 
 class TestTestAndBiplotCommands:

@@ -257,7 +257,8 @@ class TestScanBasis:
         best = scan_basis(x_a, k_b, 0.05, 0.05)
         manual = [fit_primal_dual(x_a, k_b, 0.05, 0.05, k) for k in range(3)]
         objectives = [m.objective for m in manual]
-        assert best.objective == min(objectives)
+        # gemv rounding depends on how many problems run side by side
+        assert abs(best.objective - min(objectives)) <= 1e-12
         assert best.basis_index == int(np.argmin(objectives))
 
     def test_duplicated_observations_give_equal_objectives(self):
@@ -277,31 +278,125 @@ class TestScanBasis:
 
     def test_noise_data_best_basis_properties(self):
         data, k_b, penalty = noise_fixture()
-        best = scan_basis(data.view_a, k_b, penalty, penalty, threads=4)
+        best = scan_basis(data.view_a, k_b, penalty, penalty)
         assert 0.5 <= best.correlation < 1.0
         assert np.count_nonzero(best.w_a) <= 0.2 * data.p
         assert best.objective >= 0.0
         # self-consistency: re-running the winning basis reproduces the result
+        # up to the gemv rounding of a one-problem batch
         rerun = fit_primal_dual(data.view_a, k_b, penalty, penalty, best.basis_index)
-        assert rerun.objective == best.objective
-        assert np.array_equal(rerun.w_a, best.w_a)
+        assert abs(rerun.objective - best.objective) <= 1e-12
+        assert np.abs(rerun.w_a - best.w_a).max() <= 1e-12
 
-    def test_threading_matches_serial(self):
-        rng = np.random.default_rng(10)
-        x_a = rng.standard_normal((8, 5))
-        k_b = rng.standard_normal((8, 8))
-        k_b = k_b @ k_b.T
-        serial = scan_basis(x_a, k_b, 0.1, 0.1, threads=1)
-        threaded = scan_basis(x_a, k_b, 0.1, 0.1, threads=4)
-        assert serial.basis_index == threaded.basis_index
-        assert serial.objective == threaded.objective
+    def test_all_failures_raise(self):
+        # the objective overflows to NaN for every basis column
+        x_a = np.random.default_rng(11).standard_normal((6, 3))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="every basis column failed"):
+                scan_basis(x_a, 1e200 * np.eye(6), 0.1, 0.1)
+            with pytest.raises(NumericalError, match="not finite"):
+                fit_primal_dual(x_a, 1e200 * np.eye(6), 0.1, 0.1, 2)
 
-    def test_all_failures_raise(self, monkeypatch):
+    def test_inner_sweep_cap_is_counted(self, monkeypatch):
         import cancorr.sparse as sparse_module
 
-        def always_fail(*args, **kwargs):
-            raise NumericalError("forced")
+        data, k_b, penalty = noise_fixture()
+        res = fit_primal_dual(data.view_a, k_b, penalty, penalty, 7)
+        monkeypatch.setattr(sparse_module, "PD_MAX_SWEEPS", 1)
+        capped = fit_primal_dual(data.view_a, k_b, penalty, penalty, 7)
+        assert res.inner_capped == 0
+        assert 0 < capped.inner_capped <= 2 * capped.n_iterations
+        assert capped.converged
 
-        monkeypatch.setattr(sparse_module, "fit_primal_dual", always_fail)
-        with pytest.raises(NumericalError, match="every basis column failed"):
-            sparse_module.scan_basis(np.ones((3, 2)), np.eye(3), 0.1, 0.1)
+
+def scalar_primal_dual(x_a, k_b, mu, gamma, basis_index, max_outer=1000, tol=1e-8):
+    """The per-basis alternation in scalar coordinate loops, from its definition.
+
+    A w-lasso on ``x_a``, then a lasso on the free dual entries of ``k_b``
+    clipped to [-1, 1], with ``beta[basis_index]`` held at 1; each lasso runs
+    cyclic sweeps until no coordinate moves by more than 1e-10 or 100 sweeps
+    pass, and the rounds stop once the objective decreases by at most ``tol``.
+    Returns ``(w, objective, correlation, rounds)``.
+    """
+    n, p = x_a.shape
+    free = np.arange(n) != basis_index
+    k_free, k_pinned = k_b[:, free], k_b[:, basis_index]
+
+    def lasso(design, response, penalty, coef, box=None):
+        coef = coef.copy()
+        col_sq = np.einsum("ij,ij->j", design, design)
+        resid = response - design @ coef
+        for _ in range(100):
+            max_delta = 0.0
+            for j in range(coef.size):
+                if col_sq[j] <= 0:
+                    continue
+                rho = design[:, j] @ resid + col_sq[j] * coef[j]
+                new = np.sign(rho) * max(abs(rho) - penalty / 2.0, 0.0) / col_sq[j]
+                if box is not None:
+                    new = min(max(new, -box), box)
+                if new != coef[j]:
+                    resid += design[:, j] * (coef[j] - new)
+                    max_delta = max(max_delta, abs(new - coef[j]))
+                    coef[j] = new
+            if max_delta <= 1e-10:
+                break
+        return coef
+
+    def objective(w, b_free):
+        fit = x_a @ w - (k_pinned + k_free @ b_free)
+        return float(fit @ fit + mu * np.abs(w).sum() + gamma * np.abs(b_free).sum())
+
+    w, b_free = np.zeros(p), np.zeros(n - 1)
+    history = [objective(w, b_free)]
+    for _ in range(max_outer):
+        w = lasso(x_a, k_pinned + k_free @ b_free, mu, w)
+        b_free = lasso(k_free, x_a @ w - k_pinned, gamma, b_free, box=1.0)
+        history.append(objective(w, b_free))
+        if history[-2] - history[-1] <= tol:
+            break
+    z_a, z_b = x_a @ w, k_pinned + k_free @ b_free
+    norm_a, norm_b = np.linalg.norm(z_a), np.linalg.norm(z_b)
+    correlation = float(z_a @ z_b / (norm_a * norm_b)) if norm_a > 0 and norm_b > 0 else 0.0
+    return w, history[-1], correlation, len(history) - 1
+
+
+def random_instance():
+    rng = np.random.default_rng(1)
+    x_a = rng.standard_normal((30, 20))
+    view_b = rng.standard_normal((30, 4))
+    k_b = build_gram_pair(
+        PairedDataset(x_a, view_b),
+        KernelSpec("linear"),
+        KernelSpec("gaussian", median_heuristic(view_b)),
+    ).k_b
+    return x_a, k_b, 0.3 * float(np.abs(x_a.T @ k_b).max())
+
+
+class TestMatchesScalarAlternation:
+    """The batched core against the one-basis-at-a-time scalar loops it replaced."""
+
+    @pytest.mark.parametrize("instance", ["example10", "random"])
+    def test_every_basis_and_the_scan(self, instance):
+        if instance == "example10":
+            data, k_b, penalty = noise_fixture()
+            x_a = data.view_a
+        else:
+            x_a, k_b, penalty = random_instance()
+        reference = [
+            scalar_primal_dual(x_a, k_b, penalty, penalty, k) for k in range(k_b.shape[0])
+        ]
+        for k, (w, objective, correlation, rounds) in enumerate(reference):
+            res = fit_primal_dual(x_a, k_b, penalty, penalty, k)
+            assert abs(res.objective - objective) <= 1e-12
+            assert abs(res.correlation - correlation) <= 1e-12
+            assert np.abs(res.w_a - w).max() <= 1e-12
+            assert res.n_iterations == rounds
+        best = scan_basis(x_a, k_b, penalty, penalty)
+        k = int(np.argmin([ref[1] for ref in reference]))
+        assert best.basis_index == k
+        w, objective, correlation, rounds = reference[k]
+        assert abs(best.objective - objective) <= 1e-12
+        assert abs(best.correlation - correlation) <= 1e-12
+        assert np.abs(best.w_a - w).max() <= 1e-12
+        assert best.n_iterations == rounds
