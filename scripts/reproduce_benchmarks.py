@@ -32,6 +32,7 @@ from cancorr import (
     generate_synthetic,
     get_recipe,
     median_heuristic,
+    partial_gram_schmidt,
     project,
     relation_signals,
     scan_basis,
@@ -182,8 +183,16 @@ def run_reduced_kernel() -> None:
             )
             model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
             aligned = one_dominant(pair_relation_table(model, relation_signals(recipe, data)))
+            # the factors the fit used (default eta = 1e-6 trace), refactorised
+            # to put accuracy against rank on record
+            ranks = []
+            for k in (pair.k_a, pair.k_b):
+                trace = float(np.trace(k))
+                factor = partial_gram_schmidt(k, 1e-6 * trace)
+                residual = (trace - float(np.sum(factor * factor))) / trace
+                ranks.append(f"{factor.shape[1]} (residual {residual:.1e} of the trace)")
             print(f"   seed {s}: correlations {fmt(model.correlations)}, "
-                  f"signals aligned: {aligned}")
+                  f"signals aligned: {aligned}, m_a {ranks[0]}, m_b {ranks[1]}")
 
 
 def run_sparse(seeds: int) -> None:

@@ -633,11 +633,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path: Path, report: dict, tracker: OutputTracker) -> None:
+    """Write ``report`` to a temp file beside ``path``, then rename it over
+    ``path``, so a failed write never leaves a partial report."""
+    tmp = tracker.path(f".{path.name}.tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir: Path = args.out
     tracker = OutputTracker(out_dir)
+    # registered first, so a failed run also removes a report left by an earlier one
+    report_path = tracker.path("report.json")
     started = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -651,10 +663,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["version"] = __version__
-    report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        _write_report(report_path, report, tracker)
+    except OSError as exc:
+        tracker.cleanup()
+        print(f"error: could not write {report_path}: {exc}", file=sys.stderr)
+        return 2
     print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     print(f"report: {report_path}")
     return 0

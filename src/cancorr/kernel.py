@@ -12,7 +12,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PairedDataset
 from .numerics import (
-    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, svd, sym_eig
+    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, top_svd
 )
 
 # The direct fit eigendecomposes two n x n Grams, which is only sensible at
@@ -178,7 +178,10 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     positive eigenvalues are the singular values ``S`` of
     ``diag(l_a / (l_a + c1)) U_a.T U_b diag(l_b / (l_b + c2)) = P S Q^T``, and
     ``alpha = U_a diag(1 / (l_a + c1)) P``, ``beta = U_b diag(1 / (l_b + c2)) Q``
-    are signed as the pencil's stacked eigenvectors.
+    are signed as the pencil's stacked eigenvectors.  Only the ``r`` leading
+    singular triplets are computed (``top_svd``).  Each view's ridged
+    spectrum ``l + c`` must stay within ``COND_LIMIT``, the test the linear
+    spectral core applies to ``C + c I``.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError(
@@ -197,24 +200,24 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     values_b, vectors_b = scipy.linalg.eigh(grams.k_b)
     ridged_a = values_a + c1
     ridged_b = values_b + c2
-    constraint = np.concatenate([ridged_a, ridged_b]) ** 2  # the spectrum of B
-    lo, hi = constraint.min(), constraint.max()
-    if hi <= 0 or lo <= hi / COND_LIMIT:
-        raise NumericalError(
-            "B is not positive definite within working precision "
-            f"(eigenvalue range [{lo:.3e}, {hi:.3e}]); "
-            "add ridge regularisation to the constraint blocks"
-        )
-    res = svd(
-        (values_a / ridged_a)[:, None] * (vectors_a.T @ vectors_b) * (values_b / ridged_b)
+    for ridged in (ridged_a, ridged_b):
+        lo, hi = ridged[0], ridged[-1]
+        if hi <= 0 or lo <= hi / COND_LIMIT:
+            raise NumericalError(
+                "B is not positive definite within working precision "
+                f"(ridged gram eigenvalue range [{lo:.3e}, {hi:.3e}]); "
+                "add ridge regularisation to the constraint blocks"
+            )
+    res = top_svd(
+        (values_a / ridged_a)[:, None] * (vectors_a.T @ vectors_b) * (values_b / ridged_b), r
     )
     if res.s[r - 1] <= 1e-12:
         raise NumericalError(
             f"only {int(np.sum(res.s > 1e-12))} positive pencil eigenvalues available, "
             f"fewer than the requested {r} components"
         )
-    alpha = vectors_a @ (res.u[:, :r] / ridged_a[:, None])
-    beta = vectors_b @ (res.v[:, :r] / ridged_b[:, None])
+    alpha = vectors_a @ (res.u / ridged_a[:, None])
+    beta = vectors_b @ (res.v / ridged_b[:, None])
     duals = fix_signs(np.vstack([alpha, beta]))
     return _assemble_kernel_model(
         grams, duals[:n], duals[n:], "kernel_pencil", {"c1": c1, "c2": c2}
@@ -229,12 +232,12 @@ def fit_kernel_cca_pgso(
 ) -> KernelCcaModel:
     """Kernel CCA on incomplete Cholesky factors of both Grams.
 
-    Factorises ``K ~= R R.T`` per view by greedy pivoting (trace cutoff
-    ``eta``, defaulting to ``1e-6 * trace(K)``), forms the reduced blocks
-    ``D_xy = R_x.T R_y``, and solves
-    ``inv(S) D_ab inv(D_bb + kappa I) D_ba inv(S).T`` with
-    ``D_aa = S S.T``; duals are mapped back through the factors and reported
-    against the true Grams.
+    Factorises ``K ~= R R.T`` per view with ``partial_gram_schmidt`` (greedy
+    pivoting, trace cutoff ``eta``, defaulting to ``1e-6 * trace(K)``), forms
+    the reduced blocks ``D_xy = R_x.T R_y``, and takes the top ``r``
+    eigenpairs of ``inv(S) D_ab inv(D_bb + kappa I) D_ba inv(S).T`` with
+    ``D_aa = S S.T`` through a subset ``eigh``; duals are mapped back through
+    the factors and reported against the true Grams.
 
     Parameters
     ----------
@@ -269,14 +272,20 @@ def fit_kernel_cca_pgso(
         ) from exc
     t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
     h = t @ scipy.linalg.cho_solve(bb_ridged, t.T)
-    res = sym_eig((h + h.T) / 2.0)
-    usable = int(np.sum(res.values > 1e-12))
+    h = check_symmetric((h + h.T) / 2.0, name="reduced problem")
+    m = h.shape[0]
+    # when fewer than r eigenvalues are positive they are all among the top r;
+    # r > m takes the whole spectrum, so `usable` is an exact count either way
+    top = min(r, m)
+    values, vectors = scipy.linalg.eigh(h, subset_by_index=[m - top, m - 1])
+    values = values[::-1]
+    usable = int(np.sum(values > 1e-12))
     if usable < r:
         raise NumericalError(
             f"reduced problem supports only {usable} components, fewer than the requested {r}"
         )
-    rho = np.sqrt(np.clip(res.values[:r], 0.0, 1.0))
-    alpha_hat = res.vectors[:, :r]
+    rho = np.sqrt(np.clip(values, 0.0, 1.0))
+    alpha_hat = fix_signs(vectors[:, ::-1])
     alpha_red = scipy.linalg.solve_triangular(s, alpha_hat, lower=True, trans="T")
     beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red) / rho
     # minimum-norm duals in the full space

@@ -119,7 +119,11 @@ def svd(m) -> SvdResult:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    v = vh.T.copy()
+    return _signed_svd(u, s, vh.T.copy())
+
+
+def _signed_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:
+    """Flip each ``u`` column to a positive largest-magnitude entry, ``v`` with it."""
     for j in range(u.shape[1]):
         lead = int(np.argmax(np.abs(u[:, j])))
         if u[lead, j] < 0:
@@ -143,13 +147,39 @@ def inv_sqrt_spd(a) -> np.ndarray:
     return (x + x.T) / 2.0
 
 
+def top_svd(m, r: int) -> SvdResult:
+    """The ``r`` leading singular triplets of ``m``, with ``svd``'s sign convention.
+
+    Takes the top-``r`` eigenvectors ``q`` of ``m @ m.T`` through a subset
+    ``eigh`` and then the small SVD ``q.T @ m = P S V^T``, so ``u = q P``,
+    ``s = S`` and ``v = V``.  The singular values come from that last SVD
+    rather than from the squared eigenvalues, so a rank shortage still shows
+    as singular values at roundoff level.
+    """
+    m = as_checked_array(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    rows = m.shape[0]
+    if not 1 <= r <= min(m.shape):
+        raise ValueError(f"r must satisfy 1 <= r <= {min(m.shape)}, got {r}")
+    _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
+    p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
+    return _signed_svd(q @ p, s, vh.T.copy())
+
+
 def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     """Pivoted incomplete Cholesky factorisation of a positive semi-definite matrix.
 
     Greedily eliminates the largest remaining diagonal entry until the trace
-    of the residual ``k - r @ r.T`` drops to ``eta`` or below.  Returns the
-    factor ``r`` with one column per elimination step, in the original row
+    of the residual ``k - r @ r.T`` drops to ``eta`` or below, or the next
+    pivot is a numerical zero (at most ``1e-12 * max(max diag, 1)``).  Returns
+    the factor ``r`` with one column per elimination step, in the original row
     order (permuting rows by pivot order gives a lower-trapezoidal matrix).
+
+    LAPACK's blocked ``dpstrf`` does the elimination with the same pivot rule
+    and stops at the same pivot floor; the trace cutoff is applied afterwards
+    from the column norms, since the residual trace after ``j`` columns is
+    ``trace(k) - sum of the first j squared column norms``.
 
     Parameters
     ----------
@@ -166,39 +196,38 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     n = k.shape[0]
-    d = np.diag(k).astype(float).copy()
+    d = np.diag(k).copy()
     if d.size and float(d.min()) < -1e-10:
         raise NumericalError(
             f"diagonal entry {d.min():.3e} is negative; input is not positive semi-definite"
         )
-    r = np.zeros((n, n))
-    picked = np.zeros(n, dtype=bool)
+    if n == 0:
+        return np.zeros((0, 0))
     # pivots below this are numerical zeros: extending would only add noise
-    pivot_floor = 1e-12 * max(float(d.max()) if d.size else 0.0, 1.0)
-    cols = 0
-    for _ in range(n):
-        remaining = float(d[~picked].sum())
-        if remaining <= eta:
-            break
-        masked = np.where(picked, -np.inf, d)
-        pivot_idx = int(np.argmax(masked))
-        pivot = float(d[pivot_idx])
-        if float(d[~picked].min()) < -1e-10:
-            raise NumericalError(
-                "residual diagonal went negative during pivoting; "
-                "input is not positive semi-definite"
-            )
-        if pivot <= pivot_floor:
-            break
-        col = (k[:, pivot_idx] - r[:, :cols] @ r[pivot_idx, :cols]) / np.sqrt(pivot)
-        col[picked] = 0.0
-        col[pivot_idx] = np.sqrt(pivot)
-        r[:, cols] = col
-        d -= col * col
-        d[pivot_idx] = 0.0
-        picked[pivot_idx] = True
-        cols += 1
-    return r[:, :cols]
+    pivot_floor = 1e-12 * max(float(d.max()), 1.0)
+    work = np.array(k, order="F")
+    c, piv, rank, info = scipy.linalg.lapack.dpstrf(
+        work, tol=pivot_floor, lower=1, overwrite_a=1
+    )
+    if info < 0:
+        raise NumericalError(f"dpstrf rejected argument {-info}")
+    factor = np.tril(c[:, :rank])
+    del work, c  # c is work: free the n x n array before the result is allocated
+    residual_trace = float(d.sum()) - np.concatenate(
+        [[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))]
+    )
+    cols = int(np.argmax(residual_trace <= eta)) if residual_trace[-1] <= eta else rank
+    factor = factor[:, :cols]
+    unpicked = piv[cols:] - 1
+    residual = d[unpicked] - np.einsum("ij,ij->i", factor[cols:], factor[cols:])
+    if residual.size and float(residual.min()) < -1e-10:
+        raise NumericalError(
+            "residual diagonal went negative during pivoting; "
+            "input is not positive semi-definite"
+        )
+    r = np.empty((n, cols))
+    r[piv - 1] = factor
+    return r
 
 
 def chi2_quantile(p: float, df: int) -> float:

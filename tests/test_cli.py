@@ -385,6 +385,18 @@ class TestErrorExits:
         assert rc == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_report_write_leaves_nothing(self, tmp_path, monkeypatch):
+        argv = ("fit", "--recipe", "example1", "--seed", "0", "--out", tmp_path)
+        assert run(*argv) == 0
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"correlations": [0.9')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        assert run(*argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main([])

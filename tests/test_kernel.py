@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from cancorr import (
     fit_kernel_cca,
     fit_kernel_cca_pgso,
     fit_regularized,
+    fit_svd,
     gen_eig_sym,
     generate_synthetic,
     get_recipe,
@@ -27,6 +29,7 @@ from cancorr import (
 )
 from cancorr.dataset import relation_signals
 from tests.conftest import one_dominant
+from tests.test_numerics import scalar_partial_gram_schmidt
 
 
 def gaussian_pair(data: PairedDataset) -> GramPair:
@@ -63,6 +66,43 @@ def pencil_kernel_fit(pair: GramPair, c1: float, c2: float, r: int):
     z_b = z_b * np.sign(corr)
     order = np.argsort(-np.abs(corr), kind="stable")
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
+
+
+def pgso_loop_correlations(pair: GramPair, kappa: float, r: int) -> np.ndarray:
+    """Reference reduced route: factors from the per-pivot loop at the default
+    ``eta``, a full eigendecomposition of the reduced problem, and the sorted
+    image cosines of the resulting duals."""
+    r_a, _ = scalar_partial_gram_schmidt(pair.k_a, 1e-6 * np.trace(pair.k_a))
+    r_b, _ = scalar_partial_gram_schmidt(pair.k_b, 1e-6 * np.trace(pair.k_b))
+    d_ab = r_a.T @ r_b
+    d_bb = r_b.T @ r_b
+    s = scipy.linalg.cholesky(r_a.T @ r_a, lower=True)
+    bb_ridged = scipy.linalg.cho_factor(d_bb + kappa * np.eye(d_bb.shape[0]), lower=True)
+    bb_plain = scipy.linalg.cho_factor(d_bb, lower=True)
+    t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
+    h = t @ scipy.linalg.cho_solve(bb_ridged, t.T)
+    _, vectors = scipy.linalg.eigh((h + h.T) / 2.0)
+    alpha_red = scipy.linalg.solve_triangular(s, vectors[:, ::-1][:, :r], lower=True, trans="T")
+    alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
+    beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red)
+    beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
+    z_a = pair.k_a @ alpha
+    z_b = pair.k_b @ beta
+    cos = np.einsum("ij,ij->j", z_a, z_b) / (
+        np.linalg.norm(z_a, axis=0) * np.linalg.norm(z_b, axis=0)
+    )
+    return np.sort(np.abs(cos))[::-1]
+
+
+def linear_pair_60x3() -> tuple[PairedDataset, GramPair]:
+    """Three standardized variables per view, one planted relation; its linear
+    Grams have rank 3 in n = 60."""
+    rng = np.random.default_rng(3)
+    view_a = rng.standard_normal((60, 3))
+    view_b = rng.standard_normal((60, 3))
+    view_b[:, 0] = view_a[:, 1] + 0.4 * rng.standard_normal(60)
+    data = standardize(PairedDataset(view_a, view_b))
+    return data, build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
 
 
 class TestKernelSpec:
@@ -211,8 +251,18 @@ class TestFitKernelCca:
             PairedDataset(rng.standard_normal((8, 1)), rng.standard_normal((8, 1)))
         )
         pair = build_gram_pair(tiny, KernelSpec("linear"), KernelSpec("linear"))
-        with pytest.raises(NumericalError, match="positive pencil eigenvalues"):
-            fit_kernel_cca(pair, 0.1, 0.1, 3)
+        for r in (2, 3):
+            with pytest.raises(NumericalError, match="only 1 positive pencil eigenvalues"):
+                fit_kernel_cca(pair, 0.1, 0.1, r)
+
+    def test_each_view_conditioned_on_its_own_ridged_spectrum(self):
+        # rank-3 linear Grams: the ridged spectra span [1e-8, 71], inside the
+        # condition limit, although their squares would not be
+        data, pair = linear_pair_60x3()
+        model = fit_kernel_cca(pair, 1e-8, 1e-8, 3)
+        assert np.abs(model.correlations - fit_svd(data).correlations).max() <= 1e-6
+        with pytest.raises(NumericalError, match="B is not positive definite"):
+            fit_kernel_cca(pair, 1e-10, 1e-10, 3)
 
     def test_matches_the_2n_pencil_with_its_signs(self):
         for seed in (0, 1):
@@ -246,12 +296,7 @@ class TestFitKernelCca:
     def test_linear_kernel_images_orthogonal(self):
         # with linear kernels the duals span the primal space, so the image
         # columns themselves come out orthogonal
-        rng = np.random.default_rng(3)
-        view_a = rng.standard_normal((60, 3))
-        view_b = rng.standard_normal((60, 3))
-        view_b[:, 0] = view_a[:, 1] + 0.4 * rng.standard_normal(60)
-        data = standardize(PairedDataset(view_a, view_b))
-        pair = build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
+        data, pair = linear_pair_60x3()
         model = fit_kernel_cca(pair, 1e-3, 1e-3, 3)
         for z in (model.z_a, model.z_b):
             g = z.T @ z
@@ -282,12 +327,7 @@ class TestFitKernelCca:
 
     def test_linear_kernel_matches_primal_ridge(self):
         # dual ridge c maps to primal ridge 2c/(n-1) to first order
-        rng = np.random.default_rng(3)
-        view_a = rng.standard_normal((60, 3))
-        view_b = rng.standard_normal((60, 3))
-        view_b[:, 0] = view_a[:, 1] + 0.4 * rng.standard_normal(60)
-        data = standardize(PairedDataset(view_a, view_b))
-        pair = build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
+        data, pair = linear_pair_60x3()
         for c in (0.5, 2.0):
             dual = fit_kernel_cca(pair, c, c, 3)
             primal = fit_regularized(data, 2 * c / 59, 2 * c / 59, r=3)
@@ -311,6 +351,12 @@ class TestFitKernelCcaPgso:
             direct = fit_kernel_cca(pair, 0.05, 0.05, 3)
             reduced = fit_kernel_cca_pgso(pair, kappa=0.1, eta=0.0, r=3)
             assert np.abs(direct.correlations - reduced.correlations).max() <= 0.05
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_matches_the_pivot_loop_route(self, n):
+        pair = gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=0, n=n))))
+        model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
+        assert np.abs(model.correlations - pgso_loop_correlations(pair, 0.5, 3)).max() <= 1e-10
 
     def test_duplicated_observations_reduce_rank(self):
         rng = np.random.default_rng(9)

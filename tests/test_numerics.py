@@ -20,6 +20,7 @@ from cancorr.numerics import (
     partial_gram_schmidt,
     svd,
     sym_eig,
+    top_svd,
 )
 
 
@@ -122,6 +123,45 @@ class TestSvd:
         assert np.abs(res.u @ np.diag(res.s) @ res.v.T - a).max() <= 1e-8 * scale
 
 
+class TestTopSvd:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(30, 30), (40, 25), (25, 40)])
+    def test_matches_full_svd(self, seed, shape):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        full = svd(a)
+        for r in (1, 3, min(shape)):
+            top = top_svd(a, r)
+            assert top.u.shape == (shape[0], r) and top.v.shape == (shape[1], r)
+            assert np.abs(top.s - full.s[:r]).max() <= 1e-12 * full.s[0]
+            assert np.abs(top.u - full.u[:, :r]).max() <= 1e-8
+            assert np.abs(top.v - full.v[:, :r]).max() <= 1e-8
+
+    def test_rank_deficient_input(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
+        full = svd(a)
+        top = top_svd(a, 4)
+        assert np.abs(top.s - full.s[:4]).max() <= 1e-12 * full.s[0]
+        assert np.abs(top.u - full.u[:, :4]).max() <= 1e-8
+        assert np.abs(top.v - full.v[:, :4]).max() <= 1e-8
+        beyond = top_svd(a, 7)
+        assert np.abs(beyond.s[:4] - full.s[:4]).max() <= 1e-12 * full.s[0]
+        assert beyond.s[4:].max() <= 1e-12
+
+    def test_rank_one_asked_for_two(self):
+        a = np.outer([0.6, 0.8, 0.0], [1.0, 0.0, 2.0])
+        res = top_svd(a, 2)
+        assert abs(res.s[0] - np.sqrt(5.0)) <= 1e-12
+        assert res.s[1] <= 1e-12
+        assert np.abs(res.u[:, 0] - [0.6, 0.8, 0.0]).max() <= 1e-12
+
+    def test_rejects_bad_rank(self):
+        with pytest.raises(ValueError, match="r must satisfy"):
+            top_svd(np.eye(3), 0)
+        with pytest.raises(ValueError, match="r must satisfy"):
+            top_svd(np.ones((3, 2)), 3)
+
+
 class TestInvSqrtSpd:
     def test_diagonal(self):
         assert np.allclose(inv_sqrt_spd(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
@@ -177,8 +217,120 @@ class TestPartialGramSchmidt:
     def test_rejects_negative_eta_and_indefinite(self):
         with pytest.raises(ValueError, match="eta"):
             partial_gram_schmidt(np.eye(2), eta=-1.0)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="diagonal entry"):
             partial_gram_schmidt(np.diag([1.0, -1.0]), eta=0.0)
+        # nonnegative diagonal, but one eigenvalue of -1: the residual of the
+        # unpicked row goes negative after the first pivot
+        with pytest.raises(NumericalError, match="residual diagonal"):
+            partial_gram_schmidt(np.array([[1.0, 1.0], [1.0, 0.5]]), eta=0.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            partial_gram_schmidt(np.array([[1.0, 0.5], [0.0, 1.0]]), eta=0.0)
+
+    def test_returns_its_own_contiguous_array(self):
+        k = np.eye(4)
+        r = partial_gram_schmidt(k, eta=0.0)
+        assert r.flags.c_contiguous and r.base is None
+        assert np.array_equal(k, np.eye(4))
+
+
+def scalar_partial_gram_schmidt(k, eta):
+    """The greedy pivoted Cholesky as a per-pivot loop over an n x n buffer.
+
+    Before each step it stops when the residual trace is at most ``eta``, or
+    when the largest residual diagonal entry is at most
+    ``1e-12 * max(max diag, 1)``; otherwise that entry becomes the next pivot.
+    Returns ``(factor, pivots)`` with the factor in the original row order.
+    """
+    n = k.shape[0]
+    d = np.diag(k).astype(float).copy()
+    r = np.zeros((n, n))
+    picked = np.zeros(n, dtype=bool)
+    pivot_floor = 1e-12 * max(float(d.max()), 1.0)
+    pivots = []
+    for cols in range(n):
+        if float(d[~picked].sum()) <= eta:
+            break
+        pivot_idx = int(np.argmax(np.where(picked, -np.inf, d)))
+        pivot = float(d[pivot_idx])
+        if pivot <= pivot_floor:
+            break
+        col = (k[:, pivot_idx] - r[:, :cols] @ r[pivot_idx, :cols]) / np.sqrt(pivot)
+        col[picked] = 0.0
+        col[pivot_idx] = np.sqrt(pivot)
+        r[:, cols] = col
+        d -= col * col
+        d[pivot_idx] = 0.0
+        picked[pivot_idx] = True
+        pivots.append(pivot_idx)
+    return r[:, :len(pivots)], pivots
+
+
+def pivot_order(factor):
+    """Pivot rows read off a factor: the pivot of column j is zero after column j
+    and, by the greedy rule, holds the largest entry among such rows."""
+    trailing_zero = np.flip(np.cumsum(np.flip(factor != 0, axis=1), axis=1), axis=1) == 0
+    order = []
+    for j in range(factor.shape[1]):
+        ends_here = ~trailing_zero[:, j] & (
+            trailing_zero[:, j + 1] if j + 1 < factor.shape[1] else True
+        )
+        ends_here[order] = False
+        order.append(int(np.argmax(np.where(ends_here, factor[:, j], -np.inf))))
+    return order
+
+
+def _gaussian_grams(n):
+    from cancorr import (
+        KernelSpec, build_gram_pair, generate_synthetic, get_recipe, median_heuristic, standardize,
+    )
+
+    data = standardize(generate_synthetic(get_recipe("example8", seed=0, n=n)))
+    pair = build_gram_pair(
+        data,
+        KernelSpec("gaussian", median_heuristic(data.view_a)),
+        KernelSpec("gaussian", median_heuristic(data.view_b)),
+    )
+    return [(pair.k_a, 1e-6 * np.trace(pair.k_a)), (pair.k_b, 1e-6 * np.trace(pair.k_b))]
+
+
+def _small_cases():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((50, 5))
+    u = np.array([1.0, 2.0, -1.0, 0.5])
+    base = np.random.default_rng(9).standard_normal((12, 3))
+    rows = np.vstack([base, base, base[:6]])
+    sq = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    duplicated = np.exp(-sq / 8.0)
+    return [
+        (np.outer(u, u), 1e-12),
+        (m @ m.T, 1e-10),
+        (np.eye(3), 0.0),
+        (duplicated, 1e-8 * np.trace(duplicated)),
+    ]
+
+
+class TestMatchesScalarPivotLoop:
+    @pytest.mark.parametrize("case", range(4))
+    def test_small_cases(self, case):
+        k, eta = _small_cases()[case]
+        self._assert_same(k, eta)
+
+    @pytest.mark.parametrize("n", [100, 500, 2000])
+    def test_example8_both_views(self, n):
+        for k, eta in _gaussian_grams(n):
+            self._assert_same(k, eta)
+
+    @staticmethod
+    def _assert_same(k, eta):
+        ref, ref_pivots = scalar_partial_gram_schmidt(k, eta)
+        new = partial_gram_schmidt(k, eta)
+        assert new.shape == ref.shape
+        # exactly duplicated rows of k tie under the greedy rule, so pivots are
+        # compared as the rows of k they select
+        assert np.array_equal(k[pivot_order(new)], k[ref_pivots])
+        assert np.abs(new - ref).max() <= 1e-10
+
+
 
 
 class TestChi2Quantile:
