@@ -148,6 +148,8 @@ def run_regularized(seeds: int) -> None:
         )
         print(f"   cross-validated selection: c1={surface.selected_c1:.4f} "
               f"c2={surface.selected_c2:.4f}   (reference c1 in [0.01, 0.5])")
+        print(f"   grid cells that failed on some fold: "
+              f"{int((surface.failed_folds > 0).sum())}/{surface.scores.size}")
 
 
 def run_kernel(seeds: int) -> None:

@@ -11,11 +11,11 @@ failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .dataset import (
     relation_signals,
     standardize,
     take_rows,
+    write_csv_rows,
     write_view_csv,
 )
 from .evaluation import biplot_export, sequential_test
@@ -42,11 +43,11 @@ from .kernel import (
     median_heuristic,
 )
 from .linear import SOLVERS, CcaModel, project
-from .numerics import NumericalError
+from .numerics import NumericalError, unit_images
 from .regularized import RegularizationConfig, cross_validate, fit_regularized
 from .sparse import fit_pmd, fit_primal_dual, scan_basis
 
-FLOAT_FMT = "%.17g"
+SIGNIFICANCE_CSV = "significance.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +160,30 @@ def _split_train_test(data: PairedDataset, fraction: float | None, seed: int):
     return take_rows(data, train_idx), take_rows(data, test_idx)
 
 
-def _standardized(data: PairedDataset) -> PairedDataset:
-    return data if data.standardized else standardize(data)
+def _prepare(args, seed: int):
+    """The prologue of the fitting commands: load the configured source, set
+    aside the ``--test-split`` rows (fit only), and standardize the rest.
+
+    Returns ``(data, recipe, test)``: the standardized (training) data, the
+    recipe or None, and the raw held-out rows or None.
+    """
+    data, recipe = _load_data(args, seed)
+    train, test = _split_train_test(data, getattr(args, "test_split", None), seed)
+    return (train if train.standardized else standardize(train)), recipe, test
+
+
+def _significance(args, model: CcaModel, n: int, tracker: OutputTracker) -> dict:
+    """Sequential test of ``model``'s correlations, written to significance.csv;
+    returns the report fields that fit and test share."""
+    significance = sequential_test(
+        model.correlations, n=n, p=model.p, q=model.q, alpha=args.alpha, clamp_perfect=True,
+    )
+    significance.write_csv(tracker.path(SIGNIFICANCE_CSV))
+    return {
+        "alpha": significance.alpha,
+        "n_significant": significance.n_significant,
+        "steps": [asdict(rec) for rec in significance.records],
+    }
 
 
 def _slice_model(model: CcaModel, r: int) -> CcaModel:
@@ -177,21 +200,24 @@ def _slice_model(model: CcaModel, r: int) -> CcaModel:
 
 
 def _write_weights_csv(path: Path, names, weights: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", *(f"comp{i + 1}" for i in range(weights.shape[1]))])
-        for name, row in zip(names, weights):
-            writer.writerow([name, *(FLOAT_FMT % v for v in row)])
+    write_csv_rows(
+        path,
+        ["variable", *(f"comp{i + 1}" for i in range(weights.shape[1]))],
+        ([name, *row] for name, row in zip(names, weights)),
+    )
 
 
 def _write_sparse_weights_csv(path: Path, names, weights: np.ndarray) -> None:
     """Sparse weights as explicit (component, index, variable, value) rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "index", "variable", "value"])
-        for j in range(weights.shape[1]):
-            for i in np.flatnonzero(weights[:, j]):
-                writer.writerow([j + 1, int(i), names[i], FLOAT_FMT % weights[i, j]])
+    write_csv_rows(
+        path,
+        ["component", "index", "variable", "value"],
+        (
+            [j + 1, int(i), names[i], weights[i, j]]
+            for j in range(weights.shape[1])
+            for i in np.flatnonzero(weights[:, j])
+        ),
+    )
 
 
 def _config_echo(args) -> dict:
@@ -216,66 +242,40 @@ def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[K
 # commands
 
 
-def _cmd_fit(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    train, test = _split_train_test(data, args.test_split, seed)
-    train_std = _standardized(train)
+def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
+    train_std, _, test = _prepare(args, seed)
     model = SOLVERS[args.solver](train_std)
     r = args.components or model.r
     if not 1 <= r <= model.r:
         raise ValueError(f"--components must lie in [1, {model.r}], got {r}")
     sliced = _slice_model(model, r)
-    report = {
-        "command": "fit",
-        "config": _config_echo(args),
-        "seed": seed,
-        "n_train": train_std.n,
-        "solver": args.solver,
-        "correlations": sliced.correlations,
-    }
-    significance = sequential_test(
-        model.correlations, n=train_std.n, p=model.p, q=model.q,
-        alpha=args.alpha, clamp_perfect=True,
-    )
-    report["significance"] = {
-        "alpha": significance.alpha,
-        "n_significant": significance.n_significant,
-        "steps": [
-            {
-                "k": rec.k,
-                "statistic": rec.statistic,
-                "df": rec.df,
-                "critical": rec.critical,
-                "reject": rec.reject,
-            }
-            for rec in significance.records
-        ],
-    }
-    sig_path = tracker.path("significance.csv")
-    significance.write_csv(sig_path)
+    significance = _significance(args, model, train_std.n, tracker)
     wa_path = tracker.path("weights_a.csv")
     wb_path = tracker.path("weights_b.csv")
     _write_weights_csv(wa_path, train_std.names_a, sliced.w_a)
     _write_weights_csv(wb_path, train_std.names_b, sliced.w_b)
-    report["files"] = {
-        "weights_a": wa_path.name,
-        "weights_b": wb_path.name,
-        "significance": sig_path.name,
+    report = {
+        "n_train": train_std.n,
+        "solver": args.solver,
+        "correlations": sliced.correlations,
+        "significance": significance,
+        "files": {
+            "weights_a": wa_path.name,
+            "weights_b": wb_path.name,
+            "significance": SIGNIFICANCE_CSV,
+        },
     }
     if test is not None:
         test_std = train_std.scaler.apply(test)
         gen = project(sliced, test_std).correlations
         report["generalization"] = {"n_test": test_std.n, "test_correlations": gen}
     print("correlations:", " ".join("%.6f" % c for c in sliced.correlations))
-    print("significant components at alpha=%g: %d" % (args.alpha, significance.n_significant))
+    print("significant components at alpha=%g: %d" % (args.alpha, significance["n_significant"]))
     return report
 
 
-def _cmd_cv(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, _, _ = _prepare(args, seed)
     config = RegularizationConfig(
         c1_grid=_parse_grid(args.grid_c1),
         c2_grid=_parse_grid(args.grid_c2),
@@ -287,12 +287,9 @@ def _cmd_cv(args, tracker: OutputTracker) -> dict:
     surface_path = tracker.path("cv_surface.csv")
     surface.write_csv(surface_path)
     report = {
-        "command": "cv",
-        "config": _config_echo(args),
-        "seed": seed,
         "selected_c1": surface.selected_c1,
         "selected_c2": surface.selected_c2,
-        "best_mean_test_correlation": float(surface.scores.max()),
+        "best_mean_test_correlation": surface.selected_score,
         "files": {"cv_surface": surface_path.name},
     }
     try:
@@ -309,10 +306,8 @@ def _cmd_cv(args, tracker: OutputTracker) -> dict:
     return report
 
 
-def _cmd_kcca(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, recipe = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, recipe, _ = _prepare(args, seed)
     spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     grams = build_gram_pair(data_std, spec_a, spec_b)
@@ -321,9 +316,6 @@ def _cmd_kcca(args, tracker: OutputTracker) -> dict:
     else:
         model = fit_kernel_cca(grams, c1=args.c1, c2=args.c2, r=args.components)
     report = {
-        "command": "kcca",
-        "config": _config_echo(args),
-        "seed": seed,
         "solver": model.solver,
         "kernel_width_a": width_a,
         "kernel_width_b": width_b,
@@ -352,26 +344,18 @@ def _cmd_kcca(args, tracker: OutputTracker) -> dict:
     return report
 
 
-def _cmd_pmd(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, _, _ = _prepare(args, seed)
     blocks = covariance_blocks(data_std)
     result = fit_pmd(blocks.c_ab, args.budget_a, args.budget_b, args.components)
-    z_a = data_std.view_a @ result.w_a
-    z_b = data_std.view_b @ result.w_b
-    corr = []
-    for j in range(result.r):
-        na, nb = np.linalg.norm(z_a[:, j]), np.linalg.norm(z_b[:, j])
-        corr.append(float(z_a[:, j] @ z_b[:, j] / (na * nb)) if na > 0 and nb > 0 else 0.0)
+    *_, corr, norm_a, norm_b = unit_images(data_std.view_a @ result.w_a,
+                                           data_std.view_b @ result.w_b)
+    corr = np.where((norm_a > 0) & (norm_b > 0), corr, 0.0)
     wa_path = tracker.path("sparse_weights_a.csv")
     wb_path = tracker.path("sparse_weights_b.csv")
     _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a)
     _write_sparse_weights_csv(wb_path, data_std.names_b, result.w_b)
     report = {
-        "command": "pmd",
-        "config": _config_echo(args),
-        "seed": seed,
         "sigmas": result.sigmas,
         "image_correlations": corr,
         "nonzeros_a": [int(np.count_nonzero(result.w_a[:, j])) for j in range(result.r)],
@@ -384,10 +368,8 @@ def _cmd_pmd(args, tracker: OutputTracker) -> dict:
     return report
 
 
-def _cmd_pdscca(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, _, _ = _prepare(args, seed)
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     from .kernel import center_gram, gram
 
@@ -406,9 +388,6 @@ def _cmd_pdscca(args, tracker: OutputTracker) -> dict:
     wa_path = tracker.path("sparse_weights_a.csv")
     _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a[:, None])
     report = {
-        "command": "pdscca",
-        "config": _config_echo(args),
-        "seed": seed,
         "mu": mu,
         "gamma": gamma,
         "kernel_width_b": width_b,
@@ -429,44 +408,21 @@ def _cmd_pdscca(args, tracker: OutputTracker) -> dict:
     return report
 
 
-def _cmd_test(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_test(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
-    significance = sequential_test(
-        model.correlations, n=data_std.n, p=model.p, q=model.q,
-        alpha=args.alpha, clamp_perfect=True,
-    )
-    sig_path = tracker.path("significance.csv")
-    significance.write_csv(sig_path)
+    significance = _significance(args, model, data_std.n, tracker)
     report = {
-        "command": "test",
-        "config": _config_echo(args),
-        "seed": seed,
         "correlations": model.correlations,
-        "alpha": significance.alpha,
-        "n_significant": significance.n_significant,
-        "steps": [
-            {
-                "k": rec.k,
-                "statistic": rec.statistic,
-                "df": rec.df,
-                "critical": rec.critical,
-                "reject": rec.reject,
-            }
-            for rec in significance.records
-        ],
-        "files": {"significance": sig_path.name},
+        **significance,
+        "files": {"significance": SIGNIFICANCE_CSV},
     }
-    print("significant components at alpha=%g: %d" % (args.alpha, significance.n_significant))
+    print("significant components at alpha=%g: %d" % (args.alpha, significance["n_significant"]))
     return report
 
 
-def _cmd_biplot(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
-    data, _ = _load_data(args, seed)
-    data_std = _standardized(data)
+def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
+    data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
     try:
         parts = [int(x) for x in args.pair.split(",")]
@@ -480,9 +436,6 @@ def _cmd_biplot(args, tracker: OutputTracker) -> dict:
     bi_path = tracker.path("biplot.csv")
     table.write_csv(bi_path)
     report = {
-        "command": "biplot",
-        "config": _config_echo(args),
-        "seed": seed,
         "correlations": model.correlations,
         "pair": parts,
         "view": args.view,
@@ -492,8 +445,7 @@ def _cmd_biplot(args, tracker: OutputTracker) -> dict:
     return report
 
 
-def _cmd_simulate(args, tracker: OutputTracker) -> dict:
-    seed = _resolve_seed(args)
+def _cmd_simulate(args, seed: int, tracker: OutputTracker) -> dict:
     if args.recipe is None:
         raise ValueError("simulate requires --recipe")
     recipe = get_recipe(args.recipe, seed=seed, n=args.recipe_n)
@@ -503,9 +455,6 @@ def _cmd_simulate(args, tracker: OutputTracker) -> dict:
     write_view_csv(a_path, data.view_a, data.names_a)
     write_view_csv(b_path, data.view_b, data.names_b)
     report = {
-        "command": "simulate",
-        "config": _config_echo(args),
-        "seed": seed,
         "recipe": recipe.recipe_id,
         "n": data.n,
         "p": data.p,
@@ -653,7 +602,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        report = args.func(args, tracker)
+        seed = _resolve_seed(args)
+        report = args.func(args, seed, tracker)
     except NumericalError as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
@@ -662,7 +612,7 @@ def main(argv=None) -> int:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report["version"] = __version__
+    report.update(command=args.command, config=_config_echo(args), seed=seed, version=__version__)
     try:
         _write_report(report_path, report, tracker)
     except OSError as exc:

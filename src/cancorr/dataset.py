@@ -347,17 +347,22 @@ def split_folds(n: int, n_folds: int, seed: int) -> FoldAssignment:
 # CSV I/O
 
 
+def write_csv_rows(path, header, rows) -> None:
+    """Write a UTF-8 CSV file: the ``header`` row, then ``rows``, floats as ``CSV_FLOAT_FORMAT``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([CSV_FLOAT_FORMAT % v if isinstance(v, float) else v for v in row])
+
+
 def write_view_csv(path, matrix, names) -> None:
     """Write one view as UTF-8 CSV: header row of names, one row per observation."""
     matrix = np.asarray(matrix, dtype=float)
     names = list(names)
     if matrix.ndim != 2 or matrix.shape[1] != len(names):
         raise ValueError("matrix shape does not match the variable names")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in matrix:
-            writer.writerow([CSV_FLOAT_FORMAT % x for x in row])
+    write_csv_rows(path, names, matrix)
 
 
 def read_view_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:

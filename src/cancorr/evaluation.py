@@ -3,12 +3,11 @@ structure correlations, biplot tables, and held-out generalisation."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairedDataset
+from .dataset import PairedDataset, write_csv_rows
 from .linear import CcaModel, project
 from .numerics import chi2_quantile
 
@@ -90,19 +89,11 @@ class SignificanceReport:
     correlations: tuple[float, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "statistic", "df", "critical", "reject"])
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.k,
-                        "%.17g" % rec.statistic,
-                        rec.df,
-                        "%.17g" % rec.critical,
-                        int(rec.reject),
-                    ]
-                )
+        write_csv_rows(
+            path,
+            ["k", "statistic", "df", "critical", "reject"],
+            ([rec.k, rec.statistic, rec.df, rec.critical, int(rec.reject)] for rec in self.records),
+        )
 
 
 def sequential_test(
@@ -193,18 +184,11 @@ class BiplotTable:
     rows: tuple[tuple[str, str, float, float], ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "view",
-                    "variable",
-                    f"corr_z{self.component_i + 1}",
-                    f"corr_z{self.component_j + 1}",
-                ]
-            )
-            for view, name, ci, cj in self.rows:
-                writer.writerow([view, name, "%.17g" % ci, "%.17g" % cj])
+        write_csv_rows(
+            path,
+            ["view", "variable", f"corr_z{self.component_i + 1}", f"corr_z{self.component_j + 1}"],
+            self.rows,
+        )
 
 
 def biplot_export(

@@ -10,9 +10,10 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
-from .dataset import PairedDataset
+from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, top_svd
+    NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, top_svd, unit_images,
+    well_conditioned,
 )
 
 # The direct fit eigendecomposes two n x n Grams, which is only sensible at
@@ -136,10 +137,7 @@ def _assemble_kernel_model(
     grams: GramPair, alpha: np.ndarray, beta: np.ndarray, solver: str, reg: dict
 ) -> KernelCcaModel:
     """Rescale duals to unit-norm images, orient, and sort by realized cosine."""
-    z_a = grams.k_a @ alpha
-    z_b = grams.k_b @ beta
-    norm_a = np.linalg.norm(z_a, axis=0)
-    norm_b = np.linalg.norm(z_b, axis=0)
+    z_a, z_b, corr, norm_a, norm_b = unit_images(grams.k_a @ alpha, grams.k_b @ beta)
     if np.any(norm_a < 1e-12) or np.any(norm_b < 1e-12):
         raise NumericalError(
             "a kernel image collapsed to the zero vector; "
@@ -147,9 +145,6 @@ def _assemble_kernel_model(
         )
     alpha = alpha / norm_a
     beta = beta / norm_b
-    z_a = z_a / norm_a
-    z_b = z_b / norm_b
-    corr = np.einsum("ij,ij->j", z_a, z_b)
     flip = corr < 0
     beta = np.where(flip, -beta, beta)
     z_b = np.where(flip, -z_b, z_b)
@@ -201,11 +196,10 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     ridged_a = values_a + c1
     ridged_b = values_b + c2
     for ridged in (ridged_a, ridged_b):
-        lo, hi = ridged[0], ridged[-1]
-        if hi <= 0 or lo <= hi / COND_LIMIT:
+        if not well_conditioned(ridged):
             raise NumericalError(
                 "B is not positive definite within working precision "
-                f"(ridged gram eigenvalue range [{lo:.3e}, {hi:.3e}]); "
+                f"(ridged gram eigenvalue range [{ridged[0]:.3e}, {ridged[-1]:.3e}]); "
                 "add ridge regularisation to the constraint blocks"
             )
     res = top_svd(
@@ -313,13 +307,11 @@ class RelationTable:
         return np.abs(self.correlations)
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["signal", *self.image_names])
-            for name, row in zip(self.signal_names, self.correlations):
-                writer.writerow([name, *("%.17g" % v for v in row)])
+        write_csv_rows(
+            path,
+            ["signal", *self.image_names],
+            ([name, *row] for name, row in zip(self.signal_names, self.correlations)),
+        )
 
 
 def image_relation_table(

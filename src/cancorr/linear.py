@@ -13,7 +13,9 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
-from .numerics import COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, svd
+from .numerics import (
+    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, lead_signs, unit_images, well_conditioned
+)
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
 CLIP_TOL = 1e-8
@@ -70,7 +72,7 @@ def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
 
 def _check_conditioning(eigs: np.ndarray, name: str, ridge: float | None = None) -> None:
     """Reject a singular block from its ascending (ridged) eigenvalues ``eigs``."""
-    if eigs[-1] > 0 and eigs[0] > eigs[-1] / COND_LIMIT:
+    if well_conditioned(eigs):
         return
     needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
     if ridge is None:
@@ -91,7 +93,8 @@ class _SpectralCore:
     With ``C_aa = U_a diag(l_a) U_a.T`` (likewise for view b), the whitened
     cross block is ``diag((l_a + c1)**-1/2) U_a.T C_ab U_b diag((l_b + c2)**-1/2)
     = U S V^T`` and ``w_a = U_a diag((l_a + c1)**-1/2) u`` meets the ridged
-    constraint ``w.T (C + c I) w = 1``; a ridge only shifts the eigenvalues.
+    constraint ``w.T (C + c I) w = 1``; a ridge only shifts the eigenvalues,
+    so one core serves a whole ridge grid.
     """
 
     def __init__(self, blocks: CovarianceBlocks):
@@ -99,19 +102,47 @@ class _SpectralCore:
         self.values_b, self.vectors_b = scipy.linalg.eigh(blocks.c_bb)
         self.cross = self.vectors_a.T @ blocks.c_ab @ self.vectors_b
 
+    def solve(self, c1_grid, c2_grid, r: int):
+        """Top ``r`` weight pairs for every cell of the ridge grid ``c1_grid x c2_grid``.
+
+        Builds the (G1, G2, p, q) stack of whitened cross blocks, takes one
+        stacked SVD, signs each ``u`` column (and its ``v``) by ``lead_signs``
+        and maps the leading ``r`` columns back.  Returns ``(w_a, w_b, s, ok)``:
+        weights of shape (G1, G2, p, r) and (G1, G2, q, r), the singular
+        values (G1, G2, min(p, q)), and the (G1, G2) mask of cells whose
+        ridged blocks pass the ``COND_LIMIT`` test and whose leading singular
+        value is at most ``1 + CLIP_TOL``.  Cells outside the mask hold finite
+        values of no meaning.
+        """
+        ridged_a = self.values_a + np.asarray(c1_grid, dtype=float)[:, None]
+        ridged_b = self.values_b + np.asarray(c2_grid, dtype=float)[:, None]
+        ok_a, ok_b = well_conditioned(ridged_a), well_conditioned(ridged_b)
+        # a failed block is whitened by ones instead, which keeps the stack finite
+        scale_a = 1.0 / np.sqrt(np.where(ok_a[:, None], ridged_a, 1.0))
+        scale_b = 1.0 / np.sqrt(np.where(ok_b[:, None], ridged_b, 1.0))
+        u, s, vh = np.linalg.svd(
+            scale_a[:, None, :, None] * self.cross * scale_b[None, :, None, :],
+            full_matrices=False,
+        )
+        signs = lead_signs(u[..., :r])[..., None, :]
+        w_a = self.vectors_a @ (scale_a[:, None, :, None] * (u[..., :r] * signs))
+        w_b = self.vectors_b @ (
+            scale_b[None, :, :, None] * (vh[..., :r, :].swapaxes(-1, -2) * signs)
+        )
+        ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
+        return w_a, w_b, s, ok
+
     def weights(self, c1: float, c2: float, r: int, ridged: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Top ``r`` weight pairs; ``ridged`` words errors for fit_regularized."""
-        ridged_a = self.values_a + c1
-        ridged_b = self.values_b + c2
-        _check_conditioning(ridged_a, "C_aa", c1 if ridged else None)
-        _check_conditioning(ridged_b, "C_bb", c2 if ridged else None)
-        scale_a = 1.0 / np.sqrt(ridged_a)
-        scale_b = 1.0 / np.sqrt(ridged_b)
-        res = svd(scale_a[:, None] * self.cross * scale_b)
-        _clip_unit_interval(res.s[:r], "singular values")
-        w_a = self.vectors_a @ (scale_a[:, None] * res.u[:, :r])
-        w_b = self.vectors_b @ (scale_b[:, None] * res.v[:, :r])
-        return w_a, w_b
+        """Top ``r`` weight pairs at one ridge pair, the 1 x 1 grid of ``solve``.
+
+        A failed cell raises; ``ridged`` words the errors for fit_regularized.
+        """
+        w_a, w_b, s, ok = self.solve([c1], [c2], r)
+        if not ok[0, 0]:
+            _check_conditioning(self.values_a + c1, "C_aa", c1 if ridged else None)
+            _check_conditioning(self.values_b + c2, "C_bb", c2 if ridged else None)
+            _clip_unit_interval(s[0, 0, :r], "singular values")
+        return w_a[0, 0], w_b[0, 0]
 
 
 def _unit_variance_columns(w: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -133,15 +164,9 @@ def _resolve_r(r: int | None, blocks: CovarianceBlocks) -> int:
 def _finalize(data: PairedDataset, w_a: np.ndarray, w_b: np.ndarray, solver: str) -> CcaModel:
     """Fix signs, build unit-norm images, orient pairs, and sort by correlation."""
     w_a = fix_signs(w_a)
-    z_a = data.view_a @ w_a
-    z_b = data.view_b @ w_b
-    norm_a = np.linalg.norm(z_a, axis=0)
-    norm_b = np.linalg.norm(z_b, axis=0)
+    z_a, z_b, corr, norm_a, norm_b = unit_images(data.view_a @ w_a, data.view_b @ w_b)
     if np.any(norm_a < 1e-300) or np.any(norm_b < 1e-300):
         raise NumericalError("an image collapsed to the zero vector; data is degenerate")
-    z_a = z_a / norm_a
-    z_b = z_b / norm_b
-    corr = np.einsum("ij,ij->j", z_a, z_b)
     flip = corr < 0
     w_b = np.where(flip, -w_b, w_b)
     z_b = np.where(flip, -z_b, z_b)
@@ -272,12 +297,7 @@ def project(model: CcaModel, test: PairedDataset) -> ProjectionResult:
             f"test column counts ({test.p}, {test.q}) do not match "
             f"the model ({model.p}, {model.q})"
         )
-    z_a = test.view_a @ model.w_a
-    z_b = test.view_b @ model.w_b
-    norm_a = np.linalg.norm(z_a, axis=0)
-    norm_b = np.linalg.norm(z_b, axis=0)
+    z_a, z_b, corr, norm_a, norm_b = unit_images(test.view_a @ model.w_a, test.view_b @ model.w_b)
     if np.any(norm_a < 1e-300) or np.any(norm_b < 1e-300):
         raise NumericalError("a projected test image collapsed to the zero vector")
-    z_a = z_a / norm_a
-    z_b = z_b / norm_b
-    return ProjectionResult(z_a=z_a, z_b=z_b, correlations=np.einsum("ij,ij->j", z_a, z_b))
+    return ProjectionResult(z_a=z_a, z_b=z_b, correlations=corr)

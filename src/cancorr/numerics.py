@@ -49,12 +49,47 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     Ties in magnitude are broken by the lowest row index (argmax picks the
     first maximiser), which keeps the convention deterministic.
     """
-    v = np.array(vectors, dtype=float, copy=True)
-    for j in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
+    v = np.asarray(vectors, dtype=float)
+    return v * lead_signs(v)
+
+
+def lead_signs(m: np.ndarray) -> np.ndarray:
+    """Column signs, ``-1.0`` or ``1.0``, that make each column's largest-magnitude entry positive.
+
+    Works on stacks of shape (..., rows, cols) and returns shape (..., cols).
+    Ties in magnitude go to the lowest row index.  Multiplying by a sign is
+    exact, so a flipped column keeps its bits up to the sign.
+    """
+    if m.shape[-2] == 0:  # empty columns have no lead entry to flip
+        return np.ones(m.shape[:-2] + m.shape[-1:])
+    lead = np.argmax(np.abs(m), axis=-2)
+    values = np.take_along_axis(m, lead[..., None, :], axis=-2)[..., 0, :]
+    return np.where(values < 0, -1.0, 1.0)
+
+
+def well_conditioned(values: np.ndarray) -> np.ndarray:
+    """Whether ascending spectra (along the last axis) are positive within ``COND_LIMIT``.
+
+    A spectrum passes when its largest value is positive and its smallest
+    exceeds the largest divided by ``COND_LIMIT``.
+    """
+    return (values[..., -1] > 0) & (values[..., 0] > values[..., -1] / COND_LIMIT)
+
+
+def unit_images(z_a: np.ndarray, z_b: np.ndarray):
+    """Unit-normalise paired image columns and take their cosines.
+
+    Works on stacks of shape (..., n, r).  Returns ``(u_a, u_b, cosines,
+    norm_a, norm_b)``: the unit images, the per-column cosines
+    ``sum(u_a * u_b)`` of shape (..., r), and the image norms, so each caller
+    applies its own rule to collapsed images (a zero column gives NaN).
+    """
+    norm_a = np.linalg.norm(z_a, axis=-2)
+    norm_b = np.linalg.norm(z_b, axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_a = z_a / norm_a[..., None, :]
+        u_b = z_b / norm_b[..., None, :]
+    return u_a, u_b, np.einsum("...ij,...ij->...j", u_a, u_b), norm_a, norm_b
 
 
 @dataclass(frozen=True)
@@ -97,7 +132,7 @@ def gen_eig_sym(a, b) -> EigenResult:
     if a.shape != b.shape:
         raise ValueError(f"A and B must have equal shapes, got {a.shape} and {b.shape}")
     beigs = scipy.linalg.eigvalsh(b)
-    if beigs[-1] <= 0 or beigs[0] <= beigs[-1] / COND_LIMIT:
+    if not well_conditioned(beigs):
         raise NumericalError(
             "B is not positive definite within working precision "
             f"(eigenvalue range [{beigs[0]:.3e}, {beigs[-1]:.3e}]); "
@@ -119,24 +154,20 @@ def svd(m) -> SvdResult:
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return _signed_svd(u, s, vh.T.copy())
+    return _signed_svd(u, s, vh.T)
 
 
 def _signed_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:
     """Flip each ``u`` column to a positive largest-magnitude entry, ``v`` with it."""
-    for j in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(u, s, v)
+    signs = lead_signs(u)
+    return SvdResult(u * signs, s, v * signs)
 
 
 def inv_sqrt_spd(a) -> np.ndarray:
     """Inverse matrix square root of a symmetric positive-definite matrix."""
     a = check_symmetric(a)
     values, vectors = scipy.linalg.eigh(a)
-    if values[-1] <= 0 or values[0] <= values[-1] / COND_LIMIT:
+    if not well_conditioned(values):
         raise NumericalError(
             "matrix is numerically singular "
             f"(eigenvalue range [{values[0]:.3e}, {values[-1]:.3e}]); "
@@ -164,7 +195,7 @@ def top_svd(m, r: int) -> SvdResult:
         raise ValueError(f"r must satisfy 1 <= r <= {min(m.shape)}, got {r}")
     _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
     p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
-    return _signed_svd(q @ p, s, vh.T.copy())
+    return _signed_svd(q @ p, s, vh.T)
 
 
 def partial_gram_schmidt(k, eta: float) -> np.ndarray:

@@ -6,9 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import PairedDataset, covariance_blocks, split_folds, standardize, take_rows
-from .linear import CcaModel, _finalize, _resolve_r, _SpectralCore, project
-from .numerics import NumericalError
+from .dataset import (
+    PairedDataset, covariance_blocks, split_folds, standardize, take_rows, write_csv_rows
+)
+from .linear import CcaModel, _finalize, _resolve_r, _SpectralCore
+from .numerics import NumericalError, lead_signs, unit_images
 
 
 def default_grid() -> np.ndarray:
@@ -41,25 +43,32 @@ class RegularizationConfig:
 
 @dataclass(frozen=True)
 class CvSurface:
-    """Mean held-out cosine for every (c1, c2) grid cell, plus the selected pair."""
+    """Mean held-out cosine and failed-fold count for every (c1, c2) grid cell,
+    plus the selected pair."""
 
     c1_grid: tuple[float, ...]
     c2_grid: tuple[float, ...]
     scores: np.ndarray
+    failed_folds: np.ndarray
     selected_c1: float
     selected_c2: float
 
-    def write_csv(self, path) -> None:
-        import csv
+    @property
+    def selected_score(self) -> float:
+        """Mean held-out cosine of the selected cell."""
+        i = self.c1_grid.index(self.selected_c1)
+        return float(self.scores[i, self.c2_grid.index(self.selected_c2)])
 
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c1", "c2", "mean_test_correlation"])
-            for i, c1 in enumerate(self.c1_grid):
-                for j, c2 in enumerate(self.c2_grid):
-                    writer.writerow(
-                        ["%.17g" % c1, "%.17g" % c2, "%.17g" % self.scores[i, j]]
-                    )
+    def write_csv(self, path) -> None:
+        write_csv_rows(
+            path,
+            ["c1", "c2", "mean_test_correlation", "failed_folds"],
+            (
+                [c1, c2, float(self.scores[i, j]), int(self.failed_folds[i, j])]
+                for i, c1 in enumerate(self.c1_grid)
+                for j, c2 in enumerate(self.c2_grid)
+            ),
+        )
 
 
 def fit_regularized(data: PairedDataset, c1: float, c2: float, r: int | None = None) -> CcaModel:
@@ -86,13 +95,18 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
     For every repetition a fresh fold split is drawn (seed + repetition
     index); each train and test fold is standardized with its own statistics;
     the first canonical component is fitted on the train folds and scored by
-    the cosine of the held-out images.  Each training fold's blocks are
-    eigendecomposed once and every grid cell is solved from that spectrum by
-    the spectral core of :func:`fit_regularized`.  A fit that fails scores
-    -1.  Scores are averaged over folds, then over repetitions.  The selected
-    cell maximises the mean score among the cells whose fits succeeded on
-    every fold; exact ties go to the smallest c1 + c2 (then smallest c1).
-    Raises NumericalError when no cell fitted on every fold.
+    the cosine of the held-out images.  Each training fold's whole grid is
+    solved at once by the stacked spectral solve that :func:`fit_regularized`
+    runs as a 1 x 1 grid; ``w_a`` is signed as the fit signs it, and the
+    held-out cosine takes the sign that orients the training images.
+
+    A cell fails on a fold when a ridged block is outside ``COND_LIMIT``, its
+    leading singular value exceeds ``1 + CLIP_TOL``, or a training or
+    held-out image has norm below 1e-300; it then scores -1 there and adds one
+    to its ``failed_folds`` count.  Scores are averaged over folds, then over
+    repetitions.  The selected cell maximises the mean score among the cells
+    with no failed fold; exact ties go to the smallest c1 + c2 (then smallest
+    c1).  Raises NumericalError when every cell failed on some fold.
     """
     if data.n < 2 * config.n_folds:
         raise ValueError(
@@ -100,7 +114,7 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
         )
     shape = (len(config.c1_grid), len(config.c2_grid))
     total = np.zeros(shape)
-    complete = np.ones(shape, dtype=bool)
+    failed_folds = np.zeros(shape, dtype=int)
     for rep in range(config.repetitions):
         folds = split_folds(data.n, config.n_folds, config.seed + rep)
         fold_scores = np.empty((config.n_folds, *shape))
@@ -108,22 +122,22 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
             train = standardize(take_rows(data, folds.train_indices(f)))
             test = standardize(take_rows(data, folds.test_indices(f)))
             core = _SpectralCore(covariance_blocks(train))
-            for i, c1 in enumerate(config.c1_grid):
-                for j, c2 in enumerate(config.c2_grid):
-                    try:
-                        w_a, w_b = core.weights(c1, c2, 1, ridged=True)
-                        model = _finalize(train, w_a, w_b, "cv")
-                        fold_scores[f, i, j] = project(model, test).correlations[0]
-                    except NumericalError:
-                        fold_scores[f, i, j] = -1.0
-                        complete[i, j] = False
+            w_a, w_b, _, ok = core.solve(config.c1_grid, config.c2_grid, 1)
+            w_a = w_a * lead_signs(w_a)[..., None, :]
+            *_, fit_corr, fit_a, fit_b = unit_images(train.view_a @ w_a, train.view_b @ w_b)
+            *_, test_corr, test_a, test_b = unit_images(test.view_a @ w_a, test.view_b @ w_b)
+            norms = np.concatenate([fit_a, fit_b, test_a, test_b], axis=-1)
+            ok &= norms.min(axis=-1) >= 1e-300
+            score = np.where(fit_corr < 0, -test_corr, test_corr)[..., 0]
+            fold_scores[f] = np.where(ok, score, -1.0)
+            failed_folds += ~ok
         total += fold_scores.mean(axis=0)
     scores = total / config.repetitions
     keys = [
         (-scores[i, j], c1 + c2, c1, c2)
         for i, c1 in enumerate(config.c1_grid)
         for j, c2 in enumerate(config.c2_grid)
-        if complete[i, j]
+        if failed_folds[i, j] == 0
     ]
     if not keys:
         raise NumericalError(
@@ -134,6 +148,7 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
         c1_grid=config.c1_grid,
         c2_grid=config.c2_grid,
         scores=scores,
+        failed_folds=failed_folds,
         selected_c1=best_c1,
         selected_c2=best_c2,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericalError, as_checked_array
+from .numerics import NumericalError, as_checked_array, unit_images
 
 PMD_L1_TOL = 1e-6
 PMD_MAX_BISECT = 100
@@ -277,16 +277,13 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list
         live = live[finite & ~converged[live]]
         if not live.size:
             break
+    *_, corr, norm_a, norm_b = unit_images(x_a @ w, k_b @ beta)
+    corr = np.where((norm_a > 0) & (norm_b > 0), corr, 0.0)
     results = []
     for b in cols:
         w_b, beta_b = w[:, b].copy(), beta[:, b].copy()
-        z_a, z_b = x_a @ w_b, k_b @ beta_b
-        norm_a, norm_b = float(np.linalg.norm(z_a)), float(np.linalg.norm(z_b))
-        correlation = 0.0
-        if norm_a > 0 and norm_b > 0:
-            correlation = float((z_a / norm_a) @ (z_b / norm_b))
         results.append(PrimalDualResult(
-            w_a=w_b, beta=beta_b, objective=histories[b][-1], correlation=correlation,
+            w_a=w_b, beta=beta_b, objective=histories[b][-1], correlation=float(corr[b]),
             basis_index=int(basis[b]), degenerate=not np.any(w_b),
             converged=bool(converged[b]), n_iterations=int(rounds[b]),
             objective_history=np.asarray(histories[b]), inner_capped=int(capped[b]),

@@ -145,8 +145,29 @@ class TestCvCommand:
         assert 0.01 <= rep["selected_c1"] <= 0.5
         assert rep["refit_correlations"][0] >= 0.99
         surface = csv_rows(tmp_path / "cv_surface.csv")
-        assert surface[0] == ["c1", "c2", "mean_test_correlation"]
+        assert surface[0] == ["c1", "c2", "mean_test_correlation", "failed_folds"]
         assert len(surface) == 1 + 15 * 15
+
+    def test_best_score_is_the_selected_cells(self, tmp_path):
+        # c1 = 0 scores highest but fails on the 17-row training folds, so
+        # c1 = 1000 is selected and its score is the one reported
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((22, 17))
+        b = rng.standard_normal((22, 2))
+        b[:, 0] += 0.5 * a[:, 0]
+        write_view_csv(tmp_path / "a.csv", a, [f"a{i}" for i in range(17)])
+        write_view_csv(tmp_path / "b.csv", b, ["b0", "b1"])
+        out = tmp_path / "out"
+        rc = run("cv", "--view-a", tmp_path / "a.csv", "--view-b", tmp_path / "b.csv",
+                 "--grid-c1", "0,1000", "--grid-c2", "0", "--folds", "5", "--reps", "1",
+                 "--seed", "3", "--out", out)
+        assert rc == 0
+        rep = report_of(out)
+        rows = csv_rows(out / "cv_surface.csv")[1:]
+        assert [int(row[3]) for row in rows] == [2, 0]
+        assert float(rows[0][2]) > float(rows[1][2])
+        assert rep["selected_c1"] == 1000.0
+        assert rep["best_mean_test_correlation"] == float(rows[1][2])
 
     def test_grid_without_a_working_ridge_exits_with_numerical_code(self, tmp_path):
         rc = run("cv", "--recipe", "example6", "--seed", "0", "--grid-c1", "0",

@@ -17,10 +17,13 @@ from cancorr.numerics import (
     fix_signs,
     gen_eig_sym,
     inv_sqrt_spd,
+    lead_signs,
     partial_gram_schmidt,
     svd,
     sym_eig,
     top_svd,
+    unit_images,
+    well_conditioned,
 )
 
 
@@ -384,6 +387,40 @@ class TestHelpers:
         v = np.array([[0.1, -0.9], [-0.8, 0.2]])
         fixed = fix_signs(v)
         assert np.allclose(fixed, [[-0.1, 0.9], [0.8, -0.2]])
+
+    def test_lead_signs_over_a_stack(self):
+        stack = np.random.default_rng(0).standard_normal((3, 2, 5, 4))
+        stack[0, 0, :, 0] = [-0.5, 0.5, 0.1, 0.0, 0.2]  # tie: the lower row leads
+        signs = lead_signs(stack)
+        assert signs.shape == (3, 2, 4)
+        assert signs[0, 0, 0] == -1.0
+        for idx in np.ndindex(3, 2):
+            m = stack[idx]
+            lead = m[np.argmax(np.abs(m), axis=0), np.arange(4)]
+            assert np.array_equal(signs[idx], np.where(lead < 0, -1.0, 1.0))
+            assert np.array_equal(fix_signs(m), m * signs[idx])
+        assert lead_signs(np.zeros((2, 0, 3))).tolist() == [[1.0] * 3] * 2
+        assert fix_signs(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_unit_images_over_a_stack(self):
+        rng = np.random.default_rng(1)
+        z_a, z_b = rng.standard_normal((2, 3, 6, 2)), rng.standard_normal((2, 3, 6, 2))
+        z_b[1, 2, :, 1] = 0.0
+        u_a, u_b, cos, norm_a, norm_b = unit_images(z_a, z_b)
+        assert cos.shape == norm_a.shape == (2, 3, 2)
+        assert norm_b[1, 2, 1] == 0.0 and np.isnan(cos[1, 2, 1])
+        cos[1, 2, 1] = 0.0
+        for idx in np.ndindex(2, 3, 2):
+            a, b = z_a[idx[:2]][:, idx[2]], z_b[idx[:2]][:, idx[2]]
+            assert abs(norm_a[idx] - np.linalg.norm(a)) <= 1e-15 * norm_a[idx]
+            if norm_b[idx] > 0:
+                assert np.allclose(u_b[idx[:2]][:, idx[2]], b / np.linalg.norm(b))
+                assert abs(cos[idx] - a @ b / (np.linalg.norm(a) * np.linalg.norm(b))) <= 1e-15
+
+    def test_well_conditioned_on_ascending_spectra(self):
+        spectra = np.array([[1.0, 2.0], [1e-11, 1.0], [2e-10, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+        assert well_conditioned(spectra).tolist() == [True, False, True, False, False]
+        assert not well_conditioned(spectra[1])
 
     def test_check_symmetric_accepts_roundoff(self):
         a = random_spd(0, 4)

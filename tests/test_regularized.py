@@ -18,8 +18,11 @@ from cancorr import (
     gen_eig_sym,
     generate_synthetic,
     get_recipe,
+    split_folds,
     standardize,
+    take_rows,
 )
+from cancorr.linear import _finalize, _SpectralCore, project
 
 ACCEPT_GRID = tuple(np.logspace(-3.0, 0.0, 15))
 FULL_GRID = tuple(np.logspace(-3.0, 3.0, 15))
@@ -51,6 +54,53 @@ def pencil_ridge_fit(data: PairedDataset, c1: float, c2: float, r: int):
     z_b = z_b * np.sign(corr)
     order = np.argsort(-np.abs(corr), kind="stable")
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
+
+
+def scalar_cross_validate(data: PairedDataset, config: RegularizationConfig):
+    """Reference: the serial per-cell CV loop.
+
+    Every fold and grid cell runs the scalar fit (``weights``, ``_finalize``)
+    and scores the held-out cosine through ``project``; a cell that raises
+    scores -1 and counts one failed fold.  Returns the scores, the failed-fold
+    counts and the selected (c1, c2), or None when no cell fitted everywhere.
+    """
+    shape = (len(config.c1_grid), len(config.c2_grid))
+    total = np.zeros(shape)
+    failed = np.zeros(shape, dtype=int)
+    for rep in range(config.repetitions):
+        folds = split_folds(data.n, config.n_folds, config.seed + rep)
+        fold_scores = np.empty((config.n_folds, *shape))
+        for f in range(config.n_folds):
+            train = standardize(take_rows(data, folds.train_indices(f)))
+            test = standardize(take_rows(data, folds.test_indices(f)))
+            core = _SpectralCore(covariance_blocks(train))
+            for i, c1 in enumerate(config.c1_grid):
+                for j, c2 in enumerate(config.c2_grid):
+                    try:
+                        w_a, w_b = core.weights(c1, c2, 1, ridged=True)
+                        model = _finalize(train, w_a, w_b, "cv")
+                        fold_scores[f, i, j] = project(model, test).correlations[0]
+                    except NumericalError:
+                        fold_scores[f, i, j] = -1.0
+                        failed[i, j] += 1
+        total += fold_scores.mean(axis=0)
+    scores = total / config.repetitions
+    keys = [
+        (-scores[i, j], c1 + c2, c1, c2)
+        for i, c1 in enumerate(config.c1_grid)
+        for j, c2 in enumerate(config.c2_grid)
+        if failed[i, j] == 0
+    ]
+    return scores, failed, (min(keys)[2:] if keys else None)
+
+
+def assert_matches_scalar_loop(data: PairedDataset, config: RegularizationConfig):
+    scores, failed, selected = scalar_cross_validate(data, config)
+    surface = cross_validate(data, config)
+    assert np.abs(surface.scores - scores).max() <= 1e-12
+    assert np.array_equal(surface.failed_folds, failed)
+    assert (surface.selected_c1, surface.selected_c2) == selected
+    return surface
 
 
 class TestFitRegularized:
@@ -174,7 +224,9 @@ class TestCrossValidate:
         )
         surface = cross_validate(data, cfg)
         assert surface.scores[0, 0] == -1.0
+        assert surface.failed_folds.tolist() == [[5], [0]]
         assert surface.selected_c1 == 0.09
+        assert surface.selected_score == surface.scores[1, 0]
 
     def test_no_cell_fitting_every_fold_is_an_error(self):
         rng = np.random.default_rng(5)
@@ -253,7 +305,57 @@ class TestCrossValidate:
         surface.write_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["c1", "c2", "mean_test_correlation"]
+        assert rows[0] == ["c1", "c2", "mean_test_correlation", "failed_folds"]
         assert len(rows) == 1 + 4
         parsed = np.array([float(r[2]) for r in rows[1:]]).reshape(2, 2)
         assert np.array_equal(parsed, surface.scores)
+
+
+class TestMatchesScalarLoop:
+    """The stacked grid solve against the serial per-cell loop it replaced."""
+
+    @pytest.mark.parametrize("recipe", ["example1", "example9"])
+    def test_recipes(self, recipe):
+        data = generate_synthetic(get_recipe(recipe, seed=0))
+        grid = (0.0, 1e-3, 0.05, 1e3)
+        assert_matches_scalar_loop(
+            data, RegularizationConfig(c1_grid=grid, c2_grid=grid, repetitions=1)
+        )
+
+    def test_example6_over_data_seeds(self):
+        for seed in range(16):
+            assert_matches_scalar_loop(
+                example6(seed), RegularizationConfig(repetitions=1, seed=seed)
+            )
+
+    def test_failure_pattern_at_zero_ridge(self):
+        surface = assert_matches_scalar_loop(
+            example6(0),
+            RegularizationConfig(c1_grid=(0.0, 0.09), c2_grid=(0.0,), repetitions=2),
+        )
+        assert surface.failed_folds.tolist() == [[10], [0]]
+
+    def test_singular_second_view(self):
+        # a duplicated view-b column makes C_bb singular at c2 = 0, while the
+        # weakly related views keep every singular value below 1
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((40, 3))
+        b = rng.standard_normal((40, 2))
+        surface = assert_matches_scalar_loop(
+            standardize(PairedDataset(a, np.column_stack([b, b[:, 0]]))),
+            RegularizationConfig(c1_grid=(0.0, 0.1), c2_grid=(0.0, 0.1), repetitions=1),
+        )
+        assert surface.failed_folds.tolist() == [[5, 0], [5, 0]]
+
+    def test_partial_failures_counted_per_fold(self):
+        # 22 rows in 5 folds train on 17 or 18 rows, so the 17-column view is
+        # singular at c1 = 0 on the 17-row folds only
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((22, 17))
+        b = rng.standard_normal((22, 2))
+        b[:, 0] += 0.5 * a[:, 0]
+        surface = assert_matches_scalar_loop(
+            standardize(PairedDataset(a, b)),
+            RegularizationConfig(c1_grid=(0.0, 1000.0), c2_grid=(0.0,), repetitions=3, seed=3),
+        )
+        assert 0 < surface.failed_folds[0, 0] < 15
