@@ -31,6 +31,7 @@ from cancorr import (
     fit_svd,
     generate_synthetic,
     get_recipe,
+    image_relation_table,
     median_heuristic,
     partial_gram_schmidt,
     project,
@@ -49,18 +50,6 @@ def one_dominant(table: np.ndarray, thresh: float = 0.7) -> bool:
         return False
     cols = hits.argmax(axis=1)
     return len(set(cols.tolist())) == table.shape[0]
-
-
-def pair_relation_table(model, signals: dict[str, np.ndarray]) -> np.ndarray:
-    sig = np.column_stack(list(signals.values()))
-    table = np.zeros((sig.shape[1], model.r))
-    for j in range(model.r):
-        u = model.z_a[:, j] + model.z_b[:, j]
-        uc = u - u.mean()
-        for i in range(sig.shape[1]):
-            sc = sig[:, i] - sig[:, i].mean()
-            table[i, j] = abs(sc @ uc) / (np.linalg.norm(sc) * np.linalg.norm(uc))
-    return table
 
 
 class Section:
@@ -165,7 +154,8 @@ def run_kernel(seeds: int) -> None:
                                    KernelSpec("gaussian", w_b))
             model = fit_kernel_cca(pair, 1.5, 0.6, 3)
             corrs.append(model.correlations)
-            hits += one_dominant(pair_relation_table(model, relation_signals(recipe, data)))
+            signals = relation_signals(recipe, data)
+            hits += one_dominant(image_relation_table(model.z_a + model.z_b, signals).absolute)
         print(f"   mean median-heuristic widths: {np.mean(widths_a):.3f} {np.mean(widths_b):.3f}"
               f"   (reference 3.53 3.62)")
         print(f"   mean correlations: {fmt(np.mean(corrs, axis=0))}"
@@ -184,7 +174,8 @@ def run_reduced_kernel() -> None:
                 KernelSpec("gaussian", median_heuristic(data.view_b)),
             )
             model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
-            aligned = one_dominant(pair_relation_table(model, relation_signals(recipe, data)))
+            signals = relation_signals(recipe, data)
+            aligned = one_dominant(image_relation_table(model.z_a + model.z_b, signals).absolute)
             # the factors the fit used (default eta = 1e-6 trace), refactorised
             # to put accuracy against rank on record
             ranks = []

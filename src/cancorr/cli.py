@@ -37,8 +37,10 @@ from .evaluation import biplot_export, sequential_test
 from .kernel import (
     KernelSpec,
     build_gram_pair,
+    center_gram,
     fit_kernel_cca,
     fit_kernel_cca_pgso,
+    gram,
     image_relation_table,
     median_heuristic,
 )
@@ -371,8 +373,6 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
 def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
     data_std, _, _ = _prepare(args, seed)
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
-    from .kernel import center_gram, gram
-
     k_b = center_gram(gram(data_std.view_b, spec_b))
     x_a = data_std.view_a
     if args.mu is None or args.gamma is None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataset import PairedDataset, write_csv_rows
 from .linear import CcaModel, project
-from .numerics import chi2_quantile
+from .numerics import chi2_quantile, pearson_columns
 
 # Correlations this close to 1 make the log-statistic blow up.
 PERFECT_TOL = 1e-10
@@ -139,18 +139,6 @@ def sequential_test(
     )
 
 
-def _pearson_columns(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    centered = mat - mat.mean(axis=0)
-    v = vec - vec.mean()
-    v_norm = np.linalg.norm(v)
-    col_norms = np.linalg.norm(centered, axis=0)
-    if v_norm < 1e-300:
-        raise ValueError("image is constant; correlation undefined")
-    if np.any(col_norms < 1e-300):
-        raise ValueError("a variable column is constant; correlation undefined")
-    return (centered.T @ v) / (col_norms * v_norm)
-
-
 @dataclass(frozen=True)
 class StructureCorrelations:
     """Pearson correlation of every variable in both views with one image."""
@@ -168,9 +156,9 @@ def structure_correlations(data: PairedDataset, image) -> StructureCorrelations:
         raise ValueError(f"image length {image.size} does not match n = {data.n}")
     return StructureCorrelations(
         names_a=data.names_a,
-        corr_a=_pearson_columns(data.view_a, image),
+        corr_a=pearson_columns(data.view_a, image, "a variable column", "image"),
         names_b=data.names_b,
-        corr_b=_pearson_columns(data.view_b, image),
+        corr_b=pearson_columns(data.view_b, image, "a variable column", "image"),
     )
 
 

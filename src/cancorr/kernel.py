@@ -12,8 +12,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, top_svd, unit_images,
-    well_conditioned,
+    NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, pearson_columns, top_svd,
+    unit_images, well_conditioned,
 )
 
 # The direct fit eigendecomposes two n x n Grams, which is only sensible at
@@ -136,7 +136,7 @@ class KernelCcaModel:
 def _assemble_kernel_model(
     grams: GramPair, alpha: np.ndarray, beta: np.ndarray, solver: str, reg: dict
 ) -> KernelCcaModel:
-    """Rescale duals to unit-norm images, orient, and sort by realized cosine."""
+    """Rescale duals to unit-norm images, orient, and sort by realized cosine (at most 1)."""
     z_a, z_b, corr, norm_a, norm_b = unit_images(grams.k_a @ alpha, grams.k_b @ beta)
     if np.any(norm_a < 1e-12) or np.any(norm_b < 1e-12):
         raise NumericalError(
@@ -148,7 +148,8 @@ def _assemble_kernel_model(
     flip = corr < 0
     beta = np.where(flip, -beta, beta)
     z_b = np.where(flip, -z_b, z_b)
-    corr = np.abs(corr)
+    # the cosine of two unit vectors can exceed 1 by an ulp
+    corr = np.minimum(np.abs(corr), 1.0)
     order = np.argsort(-corr, kind="stable")
     return KernelCcaModel(
         alpha=alpha[:, order],
@@ -228,10 +229,12 @@ def fit_kernel_cca_pgso(
 
     Factorises ``K ~= R R.T`` per view with ``partial_gram_schmidt`` (greedy
     pivoting, trace cutoff ``eta``, defaulting to ``1e-6 * trace(K)``), forms
-    the reduced blocks ``D_xy = R_x.T R_y``, and takes the top ``r``
-    eigenpairs of ``inv(S) D_ab inv(D_bb + kappa I) D_ba inv(S).T`` with
-    ``D_aa = S S.T`` through a subset ``eigh``; duals are mapped back through
-    the factors and reported against the true Grams.
+    the reduced blocks ``D_xy = R_x.T R_y``, and takes the top ``r`` singular
+    triplets ``(u, rho, v)`` of the whitened cross block
+    ``inv(S) D_ab inv(L_b).T``, with ``D_aa = S S.T`` and
+    ``D_bb + kappa I = L_b L_b.T``, through ``top_svd``.  The reduced duals
+    ``alpha_red = inv(S).T u`` and ``inv(D_bb) D_ab.T alpha_red / rho`` are
+    mapped back through the factors and reported against the true Grams.
 
     Parameters
     ----------
@@ -253,35 +256,29 @@ def fit_kernel_cca_pgso(
     eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)
     r_a = partial_gram_schmidt(grams.k_a, eta_a)
     r_b = partial_gram_schmidt(grams.k_b, eta_b)
-    d_aa = r_a.T @ r_a
     d_ab = r_a.T @ r_b
     d_bb = r_b.T @ r_b
     try:
-        s = scipy.linalg.cholesky(d_aa, lower=True)
-        bb_ridged = scipy.linalg.cho_factor(d_bb + kappa * np.eye(d_bb.shape[0]), lower=True)
+        s = scipy.linalg.cholesky(r_a.T @ r_a, lower=True)
+        l_b = scipy.linalg.cholesky(d_bb + kappa * np.eye(d_bb.shape[0]), lower=True)
         bb_plain = scipy.linalg.cho_factor(d_bb, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
             "a reduced gram block is singular; decrease eta or increase kappa"
         ) from exc
     t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
-    h = t @ scipy.linalg.cho_solve(bb_ridged, t.T)
-    h = check_symmetric((h + h.T) / 2.0, name="reduced problem")
-    m = h.shape[0]
-    # when fewer than r eigenvalues are positive they are all among the top r;
-    # r > m takes the whole spectrum, so `usable` is an exact count either way
-    top = min(r, m)
-    values, vectors = scipy.linalg.eigh(h, subset_by_index=[m - top, m - 1])
-    values = values[::-1]
-    usable = int(np.sum(values > 1e-12))
+    whitened = scipy.linalg.solve_triangular(l_b, t.T, lower=True).T
+    # a factor without columns (eta >= trace) leaves nothing to decompose
+    usable = 0
+    if min(whitened.shape):
+        res = top_svd(whitened, min(r, *whitened.shape))
+        usable = int(np.sum(res.s**2 > 1e-12))
     if usable < r:
         raise NumericalError(
             f"reduced problem supports only {usable} components, fewer than the requested {r}"
         )
-    rho = np.sqrt(np.clip(values, 0.0, 1.0))
-    alpha_hat = fix_signs(vectors[:, ::-1])
-    alpha_red = scipy.linalg.solve_triangular(s, alpha_hat, lower=True, trans="T")
-    beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red) / rho
+    alpha_red = scipy.linalg.solve_triangular(s, res.u, lower=True, trans="T")
+    beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red) / res.s
     # minimum-norm duals in the full space
     alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
     beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
@@ -314,39 +311,26 @@ class RelationTable:
         )
 
 
-def image_relation_table(
-    images: np.ndarray,
-    signals: Mapping[str, np.ndarray],
-    image_names: tuple[str, ...] | None = None,
-) -> RelationTable:
-    """Correlate every named signal with every image column.
+def image_relation_table(images: np.ndarray, signals: Mapping[str, np.ndarray]) -> RelationTable:
+    """Correlate every named signal with every image column (``pearson_columns``).
 
-    ``images`` is (n, r); each signal is a length-n vector.  Constant signals
-    have no defined correlation and are rejected.
+    ``images`` is (n, r), its columns named ``z1 ... zr``; each signal is a
+    length-n vector.  Constant signals and image columns have no defined
+    correlation and are rejected.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 2:
         raise ValueError("images must be a 2-d array with one column per component")
-    centered = images - images.mean(axis=0)
-    img_norms = np.linalg.norm(centered, axis=0)
-    if np.any(img_norms < 1e-300):
-        raise ValueError("an image column is constant")
-    if image_names is None:
-        image_names = tuple(f"z{i + 1}" for i in range(images.shape[1]))
     rows = []
     names = []
     for name, sig in signals.items():
         sig = np.asarray(sig, dtype=float)
         if sig.shape != (images.shape[0],):
             raise ValueError(f"signal '{name}' has shape {sig.shape}, expected ({images.shape[0]},)")
-        s = sig - sig.mean()
-        s_norm = np.linalg.norm(s)
-        if s_norm < 1e-300:
-            raise ValueError(f"signal '{name}' is constant")
-        rows.append((centered.T @ s) / (img_norms * s_norm))
+        rows.append(pearson_columns(images, sig, "an image column", f"signal '{name}'"))
         names.append(name)
     return RelationTable(
         signal_names=tuple(names),
-        image_names=tuple(image_names),
+        image_names=tuple(f"z{i + 1}" for i in range(images.shape[1])),
         correlations=np.asarray(rows, dtype=float),
     )

@@ -31,15 +31,15 @@ def as_checked_array(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_symmetric(a, name: str = "matrix", rtol: float = SYM_RTOL) -> np.ndarray:
-    """Validate that ``a`` is square and symmetric within a relative tolerance."""
+def check_symmetric(a, name: str = "matrix") -> np.ndarray:
+    """Validate that ``a`` is square and symmetric within relative tolerance ``SYM_RTOL``."""
     a = as_checked_array(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.size:
         scale = max(float(np.abs(a).max()), 1.0)
-        if float(np.abs(a - a.T).max()) > rtol * scale:
-            raise ValueError(f"{name} is not symmetric within relative tolerance {rtol:g}")
+        if float(np.abs(a - a.T).max()) > SYM_RTOL * scale:
+            raise ValueError(f"{name} is not symmetric within relative tolerance {SYM_RTOL:g}")
     return a
 
 
@@ -90,6 +90,23 @@ def unit_images(z_a: np.ndarray, z_b: np.ndarray):
         u_a = z_a / norm_a[..., None, :]
         u_b = z_b / norm_b[..., None, :]
     return u_a, u_b, np.einsum("...ij,...ij->...j", u_a, u_b), norm_a, norm_b
+
+
+def pearson_columns(mat: np.ndarray, vec: np.ndarray, mat_name: str, vec_name: str) -> np.ndarray:
+    """Pearson correlation of every column of ``mat`` (n, k) with ``vec`` (n,).
+
+    A constant ``vec`` or column raises ``ValueError`` naming it by
+    ``vec_name`` or ``mat_name``.
+    """
+    centered = mat - mat.mean(axis=0)
+    v = vec - vec.mean()
+    v_norm = np.linalg.norm(v)
+    col_norms = np.linalg.norm(centered, axis=0)
+    if v_norm < 1e-300:
+        raise ValueError(f"{vec_name} is constant; correlation undefined")
+    if np.any(col_norms < 1e-300):
+        raise ValueError(f"{mat_name} is constant; correlation undefined")
+    return (centered.T @ v) / (col_norms * v_norm)
 
 
 @dataclass(frozen=True)

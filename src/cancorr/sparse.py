@@ -37,6 +37,8 @@ def sparse_unit_solve(a, budget: float) -> np.ndarray:
     1-norm budget and otherwise found by bisection on
     ``delta in [0, max|a|]`` until the 1-norm matches the budget within 1e-6.
     Budgets below 1 are infeasible (a unit 2-norm vector has 1-norm >= 1).
+    ``k`` entries tied for the largest magnitude hold the 1-norm at ``sqrt(k)``
+    or more; a budget below that raises ``NumericalError``.
     """
     a = np.asarray(a, dtype=float).ravel()
     norm = np.linalg.norm(a)
@@ -63,7 +65,10 @@ def sparse_unit_solve(a, budget: float) -> np.ndarray:
             lo = mid
         else:
             hi = mid
-    return u
+    raise NumericalError(
+        f"no soft threshold meets the 1-norm budget {budget:g}: bisection stopped at "
+        f"1-norm {l1:.6g}; tied largest-magnitude entries keep it above the budget"
+    )
 
 
 @dataclass(frozen=True)
@@ -229,10 +234,10 @@ def _batched_lasso(design, response, penalty, coef, box=None, pinned=None) -> np
     return np.isin(np.arange(coef.shape[1]), live)
 
 
-def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list[PrimalDualResult]:
+def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index) -> list[PrimalDualResult]:
     """Run the primal-dual alternation in lockstep for one basis column, or for
     all of them when ``basis_index`` is None.  A problem leaves the outer rounds
-    once its objective decreases by at most ``tol`` or stops being finite, and
+    once its objective decreases by at most ``PD_TOL`` or stops being finite, and
     takes no further arithmetic, so it keeps its one-column iterates up to rounding."""
     x_a = as_checked_array(x_a, "view a")
     k_b = as_checked_array(k_b, "kernel matrix")
@@ -261,7 +266,7 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list
     converged = np.zeros(basis.size, dtype=bool)
     rounds, capped = np.zeros(basis.size, dtype=int), np.zeros(basis.size, dtype=int)
     live = cols
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, PD_MAX_OUTER + 1):
         w_live, beta_live = w[:, live], beta[:, live]
         capped[live] += _batched_lasso(x_a, k_b @ beta_live, mu, w_live)
         capped[live] += _batched_lasso(k_b, x_a @ w_live, gamma, beta_live,
@@ -272,7 +277,7 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list
             histories[b].append(float(f_b))
         rounds[live] = outer
         finite = np.isfinite(f)
-        converged[live] = finite & (last[live] - f <= tol)
+        converged[live] = finite & (last[live] - f <= PD_TOL)
         last[live] = f
         live = live[finite & ~converged[live]]
         if not live.size:
@@ -291,8 +296,7 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol) -> list
     return results
 
 
-def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int,
-                    max_outer: int = PD_MAX_OUTER, tol: float = PD_TOL) -> PrimalDualResult:
+def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int) -> PrimalDualResult:
     """Match sparse primal weights against one kernel basis column.
 
     Minimises ``||X_a w - K_b beta||^2 + mu ||w||_1 + gamma ||beta_rest||_1``
@@ -300,18 +304,17 @@ def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int,
     are box-limited to [-1, 1] so the sup norm is attained at the pinned
     entry.  Alternates exact coordinate descent on ``w`` and on the free dual
     entries; the objective is monotone non-increasing and iteration stops
-    when it decreases by at most ``tol`` (or after ``max_outer`` rounds).
+    when it decreases by at most ``PD_TOL`` (or after ``PD_MAX_OUTER`` rounds).
     This is the one-column run of the batched core behind ``scan_basis``.
     Raises ``NumericalError`` when the objective is not finite.
     """
-    (result,) = _primal_dual_batch(x_a, k_b, mu, gamma, basis_index, max_outer, tol)
+    (result,) = _primal_dual_batch(x_a, k_b, mu, gamma, basis_index)
     if not np.isfinite(result.objective):
         raise NumericalError(f"objective for basis {basis_index} is not finite: {result.objective}")
     return result
 
 
-def scan_basis(x_a, k_b, mu: float, gamma: float,
-               max_outer: int = PD_MAX_OUTER, tol: float = PD_TOL) -> PrimalDualResult:
+def scan_basis(x_a, k_b, mu: float, gamma: float) -> PrimalDualResult:
     """Fit every kernel basis column and keep the lowest-objective solution.
 
     The n problems of ``fit_primal_dual`` run in lockstep, vectorised across
@@ -319,7 +322,7 @@ def scan_basis(x_a, k_b, mu: float, gamma: float,
     whose objective is not finite counts as failed; ties in the objective go
     to the smaller basis index.  Raises ``NumericalError`` if every column fails.
     """
-    results = _primal_dual_batch(x_a, k_b, mu, gamma, None, max_outer, tol)
+    results = _primal_dual_batch(x_a, k_b, mu, gamma, None)
     finite = [res for res in results if np.isfinite(res.objective)]
     if not finite:
         raise NumericalError("every basis column failed to fit: no objective is finite")

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cancorr import (
@@ -28,6 +28,7 @@ from cancorr import (
     standardize,
 )
 from cancorr.dataset import relation_signals
+from cancorr.numerics import fix_signs
 from tests.conftest import one_dominant
 from tests.test_numerics import scalar_partial_gram_schmidt
 
@@ -68,10 +69,14 @@ def pencil_kernel_fit(pair: GramPair, c1: float, c2: float, r: int):
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
 
 
-def pgso_loop_correlations(pair: GramPair, kappa: float, r: int) -> np.ndarray:
+def pgso_loop_fit(pair: GramPair, kappa: float, r: int):
     """Reference reduced route: factors from the per-pivot loop at the default
-    ``eta``, a full eigendecomposition of the reduced problem, and the sorted
-    image cosines of the resulting duals."""
+    ``eta`` and a full eigendecomposition of the reduced problem
+    ``h = inv(S) D_ab inv(D_bb + kappa I) D_ba inv(S).T``.
+
+    Returns the sorted image cosines and the signed unit-norm images, with the
+    duals taken from the sign-fixed eigenvectors of ``h``.
+    """
     r_a, _ = scalar_partial_gram_schmidt(pair.k_a, 1e-6 * np.trace(pair.k_a))
     r_b, _ = scalar_partial_gram_schmidt(pair.k_b, 1e-6 * np.trace(pair.k_b))
     d_ab = r_a.T @ r_b
@@ -82,16 +87,20 @@ def pgso_loop_correlations(pair: GramPair, kappa: float, r: int) -> np.ndarray:
     t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
     h = t @ scipy.linalg.cho_solve(bb_ridged, t.T)
     _, vectors = scipy.linalg.eigh((h + h.T) / 2.0)
-    alpha_red = scipy.linalg.solve_triangular(s, vectors[:, ::-1][:, :r], lower=True, trans="T")
+    alpha_red = scipy.linalg.solve_triangular(
+        s, fix_signs(vectors[:, ::-1][:, :r]), lower=True, trans="T"
+    )
     alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
     beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red)
     beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
     z_a = pair.k_a @ alpha
     z_b = pair.k_b @ beta
-    cos = np.einsum("ij,ij->j", z_a, z_b) / (
-        np.linalg.norm(z_a, axis=0) * np.linalg.norm(z_b, axis=0)
-    )
-    return np.sort(np.abs(cos))[::-1]
+    z_a = z_a / np.linalg.norm(z_a, axis=0)
+    z_b = z_b / np.linalg.norm(z_b, axis=0)
+    corr = np.einsum("ij,ij->j", z_a, z_b)
+    z_b = z_b * np.sign(corr)
+    order = np.argsort(-np.abs(corr), kind="stable")
+    return np.abs(corr)[order], z_a[:, order], z_b[:, order]
 
 
 def linear_pair_60x3() -> tuple[PairedDataset, GramPair]:
@@ -356,7 +365,12 @@ class TestFitKernelCcaPgso:
     def test_matches_the_pivot_loop_route(self, n):
         pair = gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=0, n=n))))
         model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
-        assert np.abs(model.correlations - pgso_loop_correlations(pair, 0.5, 3)).max() <= 1e-10
+        corr, z_a, z_b = pgso_loop_fit(pair, 0.5, 3)
+        assert np.abs(model.correlations - corr).max() <= 1e-10
+        # the dual back-map has condition ~1e8 at the default eta, so the
+        # images carry more roundoff than the correlations
+        assert np.abs(model.z_a - z_a).max() <= 1e-9
+        assert np.abs(model.z_b - z_b).max() <= 1e-9
 
     def test_duplicated_observations_reduce_rank(self):
         rng = np.random.default_rng(9)
@@ -390,6 +404,13 @@ class TestFitKernelCcaPgso:
         with pytest.raises(NumericalError, match="supports only"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=5)
 
+    def test_empty_factor_reported_as_shortage(self):
+        # eta at the trace stops both factorisations before their first column
+        pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
+        eta = float(max(np.trace(pair.k_a), np.trace(pair.k_b)))
+        with pytest.raises(NumericalError, match="supports only 0 components"):
+            fit_kernel_cca_pgso(pair, kappa=0.1, eta=eta, r=1)
+
     def test_singular_reduced_block_reported(self, monkeypatch):
         import cancorr.kernel as kernel_module
 
@@ -403,6 +424,54 @@ class TestFitKernelCcaPgso:
         monkeypatch.setattr(kernel_module, "partial_gram_schmidt", degenerate_factor)
         with pytest.raises(NumericalError, match="decrease eta or increase kappa"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=1)
+
+
+def degenerate_view(rng, n: int, dim: int) -> np.ndarray:
+    """A view with a near-duplicate column (when it has two) and near-duplicate rows."""
+    view = rng.standard_normal((n, dim))
+    if dim > 1:
+        view[:, -1] = view[:, 0] + 1e-9 * rng.standard_normal(n)
+    view[n // 2:] = view[: n - n // 2] + 1e-9 * rng.standard_normal((n - n // 2, dim))
+    return view
+
+
+@settings(max_examples=400)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 40),
+    dims=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    kinds=st.tuples(st.sampled_from(["linear", "gaussian"]), st.sampled_from(["linear", "gaussian"])),
+    log_widths=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    log_ridge=st.floats(-4.0, 1.0),
+    r=st.integers(1, 3),
+    pgso=st.booleans(),
+)
+def test_kernel_fits_are_valid_or_raise(seed, n, dims, kinds, log_widths, log_ridge, r, pgso):
+    """Degenerate inputs either raise or give finite duals, unit-norm images and
+    descending correlations in [0, 1] equal to the image cosines."""
+    rng = np.random.default_rng(seed)
+    data = PairedDataset(degenerate_view(rng, n, dims[0]), degenerate_view(rng, n, dims[1]))
+    specs = [
+        KernelSpec(kind, 10.0**log_width if kind == "gaussian" else None)
+        for kind, log_width in zip(kinds, log_widths)
+    ]
+    pair = build_gram_pair(data, *specs)
+    ridge = 10.0**log_ridge
+    try:
+        if pgso:
+            model = fit_kernel_cca_pgso(pair, kappa=ridge, r=r)
+        else:
+            model = fit_kernel_cca(pair, ridge, ridge, r)
+    except ValueError:  # NumericalError included
+        return
+    for values in (model.alpha, model.beta, model.correlations, model.z_a, model.z_b):
+        assert np.all(np.isfinite(values))
+    for z in (model.z_a, model.z_b):
+        assert np.abs(np.linalg.norm(z, axis=0) - 1.0).max() <= 1e-10
+    corr = model.correlations
+    assert np.all((corr >= 0.0) & (corr <= 1.0))
+    assert np.all(np.diff(corr) <= 0.0)
+    assert np.abs(np.einsum("ij,ij->j", model.z_a, model.z_b) - corr).max() <= 1e-10
 
 
 class TestImageRelationTable:

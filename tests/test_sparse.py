@@ -97,6 +97,14 @@ class TestSparseUnitSolve:
         with pytest.raises(ValueError, match="zero coefficient"):
             sparse_unit_solve(np.zeros(4), 1.5)
 
+    def test_tied_largest_entries_below_their_floor_raise(self):
+        # two tied leading entries keep every thresholded unit vector's
+        # 1-norm at sqrt(2) or more
+        with pytest.raises(NumericalError, match=r"budget 1\.2: .* 1-norm 1\.41421"):
+            sparse_unit_solve(np.array([1.0, 1.0, 0.5]), 1.2)
+        u = sparse_unit_solve(np.array([1.0, 1.0, 0.5]), 1.5)
+        assert abs(np.abs(u).sum() - 1.5) <= 1e-6
+
     @given(st.integers(0, 500))
     def test_constraints_and_scale_covariance(self, seed):
         rng = np.random.default_rng(seed)
