@@ -3,7 +3,7 @@ reduced-rank route through pivoted incomplete Cholesky factors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -12,12 +12,13 @@ from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, pearson_columns, top_svd,
-    unit_images, well_conditioned,
+    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, pearson_columns,
+    top_svd, unit_images, well_conditioned,
 )
 
-# The direct fit eigendecomposes two n x n Grams, which is only sensible at
-# desk scale; larger problems go through the reduced route.
+# The direct fit inverts two ridged n x n Grams and takes the top singular
+# triplets of an n x n product, which is only sensible at desk scale; larger
+# problems go through the reduced route.
 DIRECT_N_LIMIT = 2000
 
 
@@ -55,15 +56,17 @@ def gram(x, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the rows of ``x`` under ``spec``.
 
     The gaussian kernel is ``exp(-||xi - xj||^2 / (2 width^2))`` with an
-    exactly unit diagonal.
+    exactly unit diagonal; it is evaluated once per pair, on the condensed
+    distance vector.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if spec.kind == "linear":
         return x @ x.T
-    sq = squareform(pdist(x, "sqeuclidean"))
-    return np.exp(-sq / (2.0 * spec.width**2))
+    k = squareform(np.exp(-pdist(x, "sqeuclidean") / (2.0 * spec.width**2)))
+    np.fill_diagonal(k, 1.0)
+    return k
 
 
 def center_gram(k) -> np.ndarray:
@@ -118,7 +121,12 @@ def build_gram_pair(
 
 @dataclass(frozen=True)
 class KernelCcaModel:
-    """Dual weight pairs with their correlations and unit-norm training images."""
+    """Dual weight pairs with their correlations and unit-norm training images.
+
+    The reduced route also records, per view, the column count of the Gram's
+    factor and the residual trace ``trace(K) - ||R||_F^2`` it leaves; the
+    direct route leaves both empty.
+    """
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -127,6 +135,8 @@ class KernelCcaModel:
     z_b: np.ndarray
     solver: str
     regularization: tuple[tuple[str, float], ...]
+    factor_columns: tuple[int, ...] = ()
+    residual_traces: tuple[float, ...] = ()
 
     @property
     def r(self) -> int:
@@ -162,6 +172,41 @@ def _assemble_kernel_model(
     )
 
 
+def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
+    """``(K + c I)^-1`` through LAPACK's Cholesky, once ``K + c I`` passes the
+    ``COND_LIMIT`` test the linear spectral core applies to ``C + c I``.
+
+    For a symmetric matrix the 2-norm is at most the inf-norm, so
+    ``(||K||_inf + c) ||(K + c I)^-1||_inf < COND_LIMIT`` proves the test
+    without the spectrum.  When that bound does not hold, or the factorisation
+    fails, the ridged eigenvalues decide.
+    """
+    lapack = scipy.linalg.lapack
+    work = np.array(k, order="F")
+    norm = lapack.dlange("I", work) + c
+    work[np.diag_indices_from(work)] += c
+    factor, info = lapack.dpotrf(work, lower=1, overwrite_a=1)
+    if info == 0:
+        inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info == 0:
+        # dpotrf zeroed the upper triangle and dpotri fills only the lower one
+        inverse += np.tril(inverse, -1).T
+        if norm * lapack.dlange("I", inverse) < COND_LIMIT:
+            return inverse
+    ridged = scipy.linalg.eigvalsh(k) + c
+    if not well_conditioned(ridged):
+        raise NumericalError(
+            "B is not positive definite within working precision "
+            f"(ridged gram eigenvalue range [{ridged[0]:.3e}, {ridged[-1]:.3e}]); "
+            "add ridge regularisation to the constraint blocks"
+        )
+    if info != 0:
+        raise NumericalError(
+            f"the Cholesky factorisation of a ridged gram failed (LAPACK info {info})"
+        )
+    return inverse
+
+
 def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaModel:
     """Kernel CCA through the symmetric 2n-dimensional pencil.
 
@@ -170,14 +215,13 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     are the regularised dual constraints.  Both ridges must be positive: at
     zero the problem is degenerate and every correlation is trivially 1.
 
-    The pencil is never formed: with ``K = U diag(l) U.T`` per view, its
-    positive eigenvalues are the singular values ``S`` of
-    ``diag(l_a / (l_a + c1)) U_a.T U_b diag(l_b / (l_b + c2)) = P S Q^T``, and
-    ``alpha = U_a diag(1 / (l_a + c1)) P``, ``beta = U_b diag(1 / (l_b + c2)) Q``
-    are signed as the pencil's stacked eigenvectors.  Only the ``r`` leading
-    singular triplets are computed (``top_svd``).  Each view's ridged
-    spectrum ``l + c`` must stay within ``COND_LIMIT``, the test the linear
-    spectral core applies to ``C + c I``.
+    The pencil is never formed: its positive eigenvalues are the singular
+    values ``S`` of ``Ka (Ka + c1 I)^-1 Kb (Kb + c2 I)^-1 = P S Q^T``, with
+    ``K (K + c I)^-1 = I - c (K + c I)^-1``, and ``alpha = (Ka + c1 I)^-1 P``,
+    ``beta = (Kb + c2 I)^-1 Q`` are signed as the pencil's stacked
+    eigenvectors.  Each view's ridged Gram is inverted through its Cholesky
+    factor and must stay within ``COND_LIMIT`` (``_ridged_inverse``); only the
+    ``r`` leading singular triplets are computed (``top_svd``).
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError(
@@ -192,28 +236,16 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
         )
     if not 1 <= r <= n:
         raise ValueError(f"components must satisfy 1 <= r <= n = {n}, got {r}")
-    values_a, vectors_a = scipy.linalg.eigh(grams.k_a)
-    values_b, vectors_b = scipy.linalg.eigh(grams.k_b)
-    ridged_a = values_a + c1
-    ridged_b = values_b + c2
-    for ridged in (ridged_a, ridged_b):
-        if not well_conditioned(ridged):
-            raise NumericalError(
-                "B is not positive definite within working precision "
-                f"(ridged gram eigenvalue range [{ridged[0]:.3e}, {ridged[-1]:.3e}]); "
-                "add ridge regularisation to the constraint blocks"
-            )
-    res = top_svd(
-        (values_a / ridged_a)[:, None] * (vectors_a.T @ vectors_b) * (values_b / ridged_b), r
-    )
+    inverse_a = _ridged_inverse(grams.k_a, c1)
+    inverse_b = _ridged_inverse(grams.k_b, c2)
+    eye = np.eye(n)
+    res = top_svd((eye - c1 * inverse_a) @ (eye - c2 * inverse_b), r)
     if res.s[r - 1] <= 1e-12:
         raise NumericalError(
             f"only {int(np.sum(res.s > 1e-12))} positive pencil eigenvalues available, "
             f"fewer than the requested {r} components"
         )
-    alpha = vectors_a @ (res.u / ridged_a[:, None])
-    beta = vectors_b @ (res.v / ridged_b[:, None])
-    duals = fix_signs(np.vstack([alpha, beta]))
+    duals = fix_signs(np.vstack([inverse_a @ res.u, inverse_b @ res.v]))
     return _assemble_kernel_model(
         grams, duals[:n], duals[n:], "kernel_pencil", {"c1": c1, "c2": c2}
     )
@@ -234,7 +266,8 @@ def fit_kernel_cca_pgso(
     ``inv(S) D_ab inv(L_b).T``, with ``D_aa = S S.T`` and
     ``D_bb + kappa I = L_b L_b.T``, through ``top_svd``.  The reduced duals
     ``alpha_red = inv(S).T u`` and ``inv(D_bb) D_ab.T alpha_red / rho`` are
-    mapped back through the factors and reported against the true Grams.
+    mapped back through the factors and reported against the true Grams.  The
+    model records each factor's column count and residual trace.
 
     Parameters
     ----------
@@ -282,12 +315,16 @@ def fit_kernel_cca_pgso(
     # minimum-norm duals in the full space
     alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
     beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
-    return _assemble_kernel_model(
-        grams,
-        alpha,
-        beta,
-        "kernel_pgso",
-        {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b},
+    model = _assemble_kernel_model(
+        grams, alpha, beta, "kernel_pgso", {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b}
+    )
+    return replace(
+        model,
+        factor_columns=(r_a.shape[1], r_b.shape[1]),
+        residual_traces=(
+            float(np.trace(grams.k_a) - np.einsum("ij,ij->", r_a, r_a)),
+            float(np.trace(grams.k_b) - np.einsum("ij,ij->", r_b, r_b)),
+        ),
     )
 
 

@@ -37,6 +37,7 @@ from cancorr import (
     generate_synthetic,
     get_recipe,
     gram,
+    image_relation_table,
     median_heuristic,
     project,
     relation_signals,
@@ -67,15 +68,7 @@ def sign_tolerant_dev(w: np.ndarray, ref: np.ndarray) -> float:
 
 def pair_relation_table(model, signals: dict[str, np.ndarray]) -> np.ndarray:
     """|corr| of each planted signal with each image pair (summed pair image)."""
-    sig = np.column_stack(list(signals.values()))
-    table = np.zeros((sig.shape[1], model.r))
-    for j in range(model.r):
-        u = model.z_a[:, j] + model.z_b[:, j]
-        uc = u - u.mean()
-        for i in range(sig.shape[1]):
-            sc = sig[:, i] - sig[:, i].mean()
-            table[i, j] = abs(sc @ uc) / (np.linalg.norm(sc) * np.linalg.norm(uc))
-    return table
+    return image_relation_table(model.z_a + model.z_b, signals).absolute
 
 
 class TestSolverTriangle:

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from cancorr import (
     GramPair,
@@ -28,7 +29,8 @@ from cancorr import (
     standardize,
 )
 from cancorr.dataset import relation_signals
-from cancorr.numerics import fix_signs
+from cancorr.kernel import KernelCcaModel, _assemble_kernel_model
+from cancorr.numerics import fix_signs, partial_gram_schmidt, top_svd, well_conditioned
 from tests.conftest import one_dominant
 from tests.test_numerics import scalar_partial_gram_schmidt
 
@@ -69,6 +71,30 @@ def pencil_kernel_fit(pair: GramPair, c1: float, c2: float, r: int):
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
 
 
+def eigenbasis_kernel_fit(pair: GramPair, c1: float, c2: float, r: int) -> KernelCcaModel:
+    """Reference direct solve through both Grams' full eigendecompositions.
+
+    With ``K = U diag(l) U.T`` per view, the pencil's positive eigenvalues are
+    the singular values ``S`` of
+    ``diag(l_a / (l_a + c1)) U_a.T U_b diag(l_b / (l_b + c2)) = P S Q^T``, and
+    ``alpha = U_a diag(1 / (l_a + c1)) P``, ``beta = U_b diag(1 / (l_b + c2)) Q``
+    are signed as the pencil's stacked eigenvectors.
+    """
+    values_a, vectors_a = scipy.linalg.eigh(pair.k_a)
+    values_b, vectors_b = scipy.linalg.eigh(pair.k_b)
+    ridged_a = values_a + c1
+    ridged_b = values_b + c2
+    res = top_svd(
+        (values_a / ridged_a)[:, None] * (vectors_a.T @ vectors_b) * (values_b / ridged_b), r
+    )
+    alpha = vectors_a @ (res.u / ridged_a[:, None])
+    beta = vectors_b @ (res.v / ridged_b[:, None])
+    duals = fix_signs(np.vstack([alpha, beta]))
+    return _assemble_kernel_model(
+        pair, duals[: pair.n], duals[pair.n:], "kernel_pencil", {"c1": c1, "c2": c2}
+    )
+
+
 def pgso_loop_fit(pair: GramPair, kappa: float, r: int):
     """Reference reduced route: factors from the per-pivot loop at the default
     ``eta`` and a full eigendecomposition of the reduced problem
@@ -101,6 +127,20 @@ def pgso_loop_fit(pair: GramPair, kappa: float, r: int):
     z_b = z_b * np.sign(corr)
     order = np.argsort(-np.abs(corr), kind="stable")
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Records each ``scipy.linalg.eigh``/``eigvalsh`` call as (name, full), where
+    ``full`` is False for a subset solve."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(*args, _original=getattr(scipy.linalg, name), _name=name, **kwargs):
+            calls.append((_name, "subset_by_index" not in kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, spy)
+    return calls
 
 
 def linear_pair_60x3() -> tuple[PairedDataset, GramPair]:
@@ -141,6 +181,16 @@ class TestGram:
         x = np.array([[0.0], [2.0]])
         k = gram(x, KernelSpec("gaussian", 1.0))
         assert abs(k[0, 1] - np.exp(-2.0)) <= 1e-15
+
+    def test_gaussian_matches_the_full_square_formula(self):
+        for name, n in (("example7", None), ("example8", 500)):
+            data = standardize(generate_synthetic(get_recipe(name, seed=0, n=n)))
+            for x in (data.view_a, data.view_b):
+                width = median_heuristic(x)
+                k = gram(x, KernelSpec("gaussian", width))
+                expected = np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * width**2))
+                assert np.array_equal(k, expected)
+                assert np.array_equal(np.diag(k), np.ones(x.shape[0]))
 
     def test_linear_is_inner_products(self):
         rng = np.random.default_rng(2)
@@ -283,6 +333,66 @@ class TestFitKernelCca:
                 assert np.abs(model.z_a - z_a).max() <= 1e-8
                 assert np.abs(model.z_b - z_b).max() <= 1e-8
 
+    def test_matches_the_eigenbasis_solve(self):
+        for seed in (0, 1):
+            pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=seed)))
+            for c in (0.05, 0.6, 1.5):
+                reference = eigenbasis_kernel_fit(pair, c, c, 3)
+                model = fit_kernel_cca(pair, c, c, 3)
+                assert np.abs(model.correlations - reference.correlations).max() <= 1e-12
+                assert np.abs(model.z_a - reference.z_a).max() <= 1e-10
+                assert np.abs(model.z_b - reference.z_b).max() <= 1e-10
+
+    def test_matches_the_eigenbasis_solve_at_desk_scale(self, eigen_calls):
+        data = standardize(generate_synthetic(get_recipe("example8", seed=0, n=1500)))
+        pair = gaussian_pair(data)
+        model = fit_kernel_cca(pair, 1.5, 0.6, 3)
+        # well conditioned: the only eigensolve is top_svd's subset solve
+        assert eigen_calls == [("eigh", False)]
+        reference = eigenbasis_kernel_fit(pair, 1.5, 0.6, 3)
+        assert np.abs(model.correlations - reference.correlations).max() <= 1e-12
+        assert np.abs(model.z_a - reference.z_a).max() <= 1e-10
+        assert np.abs(model.z_b - reference.z_b).max() <= 1e-10
+
+    def test_raises_exactly_when_a_ridged_spectrum_fails(self, eigen_calls):
+        _, pair = linear_pair_60x3()
+        spectra = [scipy.linalg.eigvalsh(k) for k in (pair.k_a, pair.k_b)]
+        exact_tests = []
+        for c in np.logspace(-11.0, -7.0, 9):
+            eigen_calls.clear()
+            expected = all(well_conditioned(values + c) for values in spectra)
+            try:
+                fit_kernel_cca(pair, c, c, 3)
+                fitted = True
+            except NumericalError as exc:
+                assert "B is not positive definite" in str(exc)
+                fitted = False
+            assert fitted == expected, c
+            exact_tests.append(eigen_calls.count(("eigvalsh", True)))
+        # the inf-norm bound settles the largest ridge; the smaller ones need
+        # the exact test
+        assert exact_tests[-1] == 0
+        assert min(exact_tests[:-1]) >= 1
+
+    def test_indefinite_gram_reported_with_its_spectrum(self):
+        q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((20, 20)))
+        k_a = (q * np.linspace(-1.0, 5.0, 20)) @ q.T
+        k_b = (q * np.linspace(0.5, 5.0, 20)) @ q.T
+        pair = GramPair(
+            (k_a + k_a.T) / 2.0, (k_b + k_b.T) / 2.0, KernelSpec("linear"), KernelSpec("linear")
+        )
+        with pytest.raises(
+            NumericalError,
+            match=r"B is not positive definite .*eigenvalue range \[-9\.000e-01, 5\.100e\+00\]",
+        ):
+            fit_kernel_cca(pair, 0.1, 0.1, 1)
+
+    def test_failed_factorisation_always_raises(self, monkeypatch):
+        pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+        with pytest.raises(NumericalError, match="Cholesky factorisation of a ridged gram failed"):
+            fit_kernel_cca(pair, 0.6, 0.6, 1)
+
     def test_model_geometry(self):
         data = generate_synthetic(get_recipe("example7", seed=2))
         pair = gaussian_pair(data)
@@ -372,6 +482,20 @@ class TestFitKernelCcaPgso:
         assert np.abs(model.z_a - z_a).max() <= 1e-9
         assert np.abs(model.z_b - z_b).max() <= 1e-9
 
+    def test_records_factor_columns_and_residual_traces(self):
+        pair = gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=0, n=600))))
+        model = fit_kernel_cca_pgso(pair, kappa=0.5, r=2)
+        for k, columns, residual in zip(
+            (pair.k_a, pair.k_b), model.factor_columns, model.residual_traces
+        ):
+            trace = np.trace(k)
+            factor = partial_gram_schmidt(k, 1e-6 * trace)
+            assert columns == factor.shape[1] < pair.n
+            assert abs(residual - (trace - np.sum(factor**2))) <= 1e-12 * trace
+            assert 0.0 < residual <= 1e-6 * trace
+        direct = fit_kernel_cca(pair, 0.5, 0.5, 2)
+        assert direct.factor_columns == () and direct.residual_traces == ()
+
     def test_duplicated_observations_reduce_rank(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((12, 3))
@@ -381,8 +505,6 @@ class TestFitKernelCcaPgso:
         pair = build_gram_pair(
             data, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 2.0)
         )
-        from cancorr.numerics import partial_gram_schmidt
-
         factor = partial_gram_schmidt(pair.k_a, 1e-8 * np.trace(pair.k_a))
         assert factor.shape[1] < 30
         model = fit_kernel_cca_pgso(pair, kappa=0.1, r=1)

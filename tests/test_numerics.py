@@ -432,3 +432,23 @@ class TestHelpers:
         a[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             check_symmetric(a)
+
+    @pytest.mark.parametrize("n", [257, 600])
+    def test_check_symmetric_rejects_skew_in_the_last_partial_block(self, n):
+        # blocks of SYM_BLOCK = 256 rows: the pair (n - 1, 3) lies in the last,
+        # partial row block and in the first column block, off the diagonal blocks
+        a = random_symmetric(n, n)
+        check_symmetric(a)
+        a[n - 1, 3] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(a)
+
+    def test_check_symmetric_scale_set_outside_the_first_block(self):
+        # the largest entry sits in the third row block; it alone lets a skew
+        # of 1e-7 pass the relative tolerance
+        a = random_symmetric(5, 600)
+        a[10, 300] += 1e-7
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(a)
+        a[550, 550] = 1e6
+        check_symmetric(a)

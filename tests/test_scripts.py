@@ -7,14 +7,14 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_benchmarks.py"
 
-# section -> (arguments, a line fragment it prints on data seed 0); the reduced
-# kernel section is left out because it fits n = 2000 three times (about 8 s)
+# section -> (arguments, a line fragment it prints on data seed 0)
 SECTIONS = {
     "run_linear": ((1,), "mean correlations over 1 seeds"),
     "run_significance": ((1,), "3 components detected at alpha=0.01: 1/1 seeds"),
     "run_held_out": ((1,), "every component >= its bound"),
     "run_regularized": ((1,), "grid cells that failed on some fold: 0/225"),
     "run_kernel": ((1,), "planted signal <-> image pair alignment: 1/1 seeds"),
+    "run_reduced_kernel": ((1,), ", m_a "),
     "run_sparse": ((1,), "recovered with correlations >= 0.85: 1/1 seeds"),
     "run_primal_dual": ((), "best basis column 30"),
 }
