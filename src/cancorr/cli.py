@@ -325,6 +325,9 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
         "regularization": dict(model.regularization),
         "files": {},
     }
+    if args.pgso:
+        report["factor_columns"] = model.factor_columns
+        report["residual_traces"] = model.residual_traces
     if recipe is not None and recipe.relations:
         signals = relation_signals(recipe, data_std)
         table = image_relation_table(model.z_a, signals)

@@ -12,8 +12,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt, pearson_columns,
-    top_svd, unit_images, well_conditioned,
+    COND_LIMIT, SYM_BLOCK, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
+    pearson_columns, top_svd, unit_images, well_conditioned,
 )
 
 # The direct fit inverts two ridged n x n Grams and takes the top singular
@@ -72,15 +72,30 @@ def gram(x, spec: KernelSpec) -> np.ndarray:
 def center_gram(k) -> np.ndarray:
     """Center a Gram matrix in feature space.
 
-    Implements ``K - (1/n) J K - (1/n) K J + (1/n^2) (1'K1) J`` through row,
-    column, and grand means; centering is idempotent and the result has row
-    and column sums of zero.
+    Implements ``K - (1/n) J K - (1/n) K J + (1/n^2) (1'K1) J`` through the
+    row means, which are the column means of a symmetric ``K``, and their
+    mean; centering is idempotent and the result has row and column sums of
+    zero.  The argument is not changed, and an exactly symmetric one gives an
+    exactly symmetric result.
     """
-    k = check_symmetric(k, name="gram matrix")
-    col_means = k.mean(axis=0)
-    row_means = k.mean(axis=1)
-    grand = k.mean()
-    return k - col_means[None, :] - row_means[:, None] + grand
+    return _center_in_place(check_symmetric(k, name="gram matrix").copy())
+
+
+def _center_in_place(k: np.ndarray) -> np.ndarray:
+    """Center a checked symmetric Gram matrix in place as ``K - (m_i + m_j) + grand``.
+
+    ``m`` holds the row means and ``grand`` their mean.  The sum ``m_i + m_j``
+    is formed before it is subtracted, so an exactly symmetric input stays
+    exactly symmetric.  Rows are updated in blocks of about ``SYM_BLOCK**2``
+    entries, which bounds the temporaries.
+    """
+    means = k.mean(axis=1)
+    grand = means.mean()
+    step = max(1, SYM_BLOCK**2 // max(means.size, 1))
+    for start in range(0, means.size, step):
+        k[start:start + step] -= means[start:start + step, None] + means
+    k += grand
+    return k
 
 
 @dataclass(frozen=True)
@@ -112,8 +127,8 @@ def build_gram_pair(
 ) -> GramPair:
     """Build and center both views' Gram matrices."""
     return GramPair(
-        k_a=center_gram(gram(data.view_a, spec_a)),
-        k_b=center_gram(gram(data.view_b, spec_b)),
+        k_a=_center_in_place(check_symmetric(gram(data.view_a, spec_a), name="gram matrix")),
+        k_b=_center_in_place(check_symmetric(gram(data.view_b, spec_b), name="gram matrix")),
         spec_a=spec_a,
         spec_b=spec_b,
     )
@@ -189,8 +204,7 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
     if info == 0:
         inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info == 0:
-        # dpotrf zeroed the upper triangle and dpotri fills only the lower one
-        inverse += np.tril(inverse, -1).T
+        _mirror_lower(inverse)
         if norm * lapack.dlange("I", inverse) < COND_LIMIT:
             return inverse
     ridged = scipy.linalg.eigvalsh(k) + c
@@ -207,6 +221,18 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
     return inverse
 
 
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the lower triangle of a square matrix onto its upper one, in place,
+    one ``SYM_BLOCK``-column panel at a time."""
+    n = a.shape[0]
+    for start in range(0, n, SYM_BLOCK):
+        stop = min(start + SYM_BLOCK, n)
+        diagonal = a[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        diagonal[upper] = diagonal.T[upper]
+        a[start:stop, stop:] = a[stop:, start:stop].T
+
+
 def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaModel:
     """Kernel CCA through the symmetric 2n-dimensional pencil.
 
@@ -221,7 +247,9 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     ``beta = (Kb + c2 I)^-1 Q`` are signed as the pencil's stacked
     eigenvectors.  Each view's ridged Gram is inverted through its Cholesky
     factor and must stay within ``COND_LIMIT`` (``_ridged_inverse``); only the
-    ``r`` leading singular triplets are computed (``top_svd``).
+    ``r`` leading singular triplets are computed (``top_svd``).  At most five
+    n x n arrays are alive at once besides the Grams: the two inverses, the
+    two factors of the product, and the product.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError(
@@ -238,8 +266,15 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
         raise ValueError(f"components must satisfy 1 <= r <= n = {n}, got {r}")
     inverse_a = _ridged_inverse(grams.k_a, c1)
     inverse_b = _ridged_inverse(grams.k_b, c2)
-    eye = np.eye(n)
-    res = top_svd((eye - c1 * inverse_a) @ (eye - c2 * inverse_b), r)
+    # I - c inv, as -c inv with 1 added on the diagonal; the inverses are
+    # exactly symmetric, so their transposes are the same matrices in C order
+    shrunk_a = inverse_a.T * -c1
+    shrunk_a.flat[:: n + 1] += 1.0
+    shrunk_b = inverse_b.T * -c2
+    shrunk_b.flat[:: n + 1] += 1.0
+    product = shrunk_a @ shrunk_b
+    del shrunk_a, shrunk_b
+    res = top_svd(product, r)
     if res.s[r - 1] <= 1e-12:
         raise NumericalError(
             f"only {int(np.sum(res.s > 1e-12))} positive pencil eigenvalues available, "
@@ -249,6 +284,17 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     return _assemble_kernel_model(
         grams, duals[:n], duals[n:], "kernel_pencil", {"c1": c1, "c2": c2}
     )
+
+
+def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a reduced gram block, computed in place when
+    ``block`` is in F order."""
+    factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(
+            "a reduced gram block is singular; decrease eta or increase kappa"
+        )
+    return factor
 
 
 def fit_kernel_cca_pgso(
@@ -268,6 +314,11 @@ def fit_kernel_cca_pgso(
     ``alpha_red = inv(S).T u`` and ``inv(D_bb) D_ab.T alpha_red / rho`` are
     mapped back through the factors and reported against the true Grams.  The
     model records each factor's column count and residual trace.
+
+    Besides the factors, at most four reduced blocks are alive at once: each
+    Cholesky factor overwrites its block, ``D_ab`` is whitened in place by
+    two triangular solves, and ``D_ab.T alpha_red`` is applied through the
+    factors.
 
     Parameters
     ----------
@@ -289,18 +340,19 @@ def fit_kernel_cca_pgso(
     eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)
     r_a = partial_gram_schmidt(grams.k_a, eta_a)
     r_b = partial_gram_schmidt(grams.k_b, eta_b)
-    d_ab = r_a.T @ r_b
+    # R.T @ R is exactly symmetric, so its transpose is an F-order view of the
+    # same block, which is factored in place
+    s = _reduced_cholesky((r_a.T @ r_a).T)
     d_bb = r_b.T @ r_b
-    try:
-        s = scipy.linalg.cholesky(r_a.T @ r_a, lower=True)
-        l_b = scipy.linalg.cholesky(d_bb + kappa * np.eye(d_bb.shape[0]), lower=True)
-        bb_plain = scipy.linalg.cho_factor(d_bb, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "a reduced gram block is singular; decrease eta or increase kappa"
-        ) from exc
-    t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
-    whitened = scipy.linalg.solve_triangular(l_b, t.T, lower=True).T
+    l_b = d_bb.copy()
+    l_b.flat[:: l_b.shape[0] + 1] += kappa
+    l_b = _reduced_cholesky(l_b.T)
+    bb_plain = _reduced_cholesky(d_bb.T)
+    # D_ab in F order, whitened in place by both triangular solves
+    blas = scipy.linalg.blas
+    whitened = blas.dtrsm(1.0, s, (r_b.T @ r_a).T, lower=1, overwrite_b=1)
+    whitened = blas.dtrsm(1.0, l_b, whitened, side=1, lower=1, trans_a=1, overwrite_b=1)
+    del l_b
     # a factor without columns (eta >= trace) leaves nothing to decompose
     usable = 0
     if min(whitened.shape):
@@ -311,10 +363,10 @@ def fit_kernel_cca_pgso(
             f"reduced problem supports only {usable} components, fewer than the requested {r}"
         )
     alpha_red = scipy.linalg.solve_triangular(s, res.u, lower=True, trans="T")
-    beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red) / res.s
+    beta_red = scipy.linalg.cho_solve((bb_plain, True), r_b.T @ (r_a @ alpha_red)) / res.s
     # minimum-norm duals in the full space
     alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
-    beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
+    beta = r_b @ scipy.linalg.cho_solve((bb_plain, True), beta_red)
     model = _assemble_kernel_model(
         grams, alpha, beta, "kernel_pgso", {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b}
     )

@@ -170,7 +170,8 @@ def _finalize(data: PairedDataset, w_a: np.ndarray, w_b: np.ndarray, solver: str
     flip = corr < 0
     w_b = np.where(flip, -w_b, w_b)
     z_b = np.where(flip, -z_b, z_b)
-    corr = np.abs(corr)
+    # the cosine of two unit vectors can exceed 1 by an ulp
+    corr = np.minimum(np.abs(corr), 1.0)
     order = np.argsort(-corr, kind="stable")
     return CcaModel(
         w_a=w_a[:, order],

@@ -222,7 +222,11 @@ def top_svd(m, r: int) -> SvdResult:
     rows = m.shape[0]
     if not 1 <= r <= min(m.shape):
         raise ValueError(f"r must satisfy 1 <= r <= {min(m.shape)}, got {r}")
-    _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
+    # ``m @ m.T`` is exactly symmetric, so its transpose is an F-order view
+    # of the same matrix that ``eigh`` overwrites instead of copying
+    _, q = scipy.linalg.eigh(
+        (m @ m.T).T, subset_by_index=[rows - r, rows - 1], overwrite_a=True
+    )
     p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
     return _signed_svd(q @ p, s, vh.T)
 
@@ -271,8 +275,11 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     )
     if info < 0:
         raise NumericalError(f"dpstrf rejected argument {-info}")
-    factor = np.tril(c[:, :rank])
-    del work, c  # c is work: free the n x n array before the result is allocated
+    # dpstrf leaves the input's strict upper triangle behind; each column of
+    # the F-order work array is contiguous, so it is zeroed in place
+    for j in range(1, rank):
+        c[:j, j] = 0.0
+    factor = c[:, :rank]
     residual_trace = float(d.sum()) - np.concatenate(
         [[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))]
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -41,3 +43,21 @@ def one_dominant(table: np.ndarray, thresh: float = 0.7) -> bool:
         return False
     cols = hits.argmax(axis=1)
     return len(set(cols.tolist())) == table.shape[0]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)`` under tracemalloc, which also traces numpy's
+    array buffers.  Returns the result and the peak of the memory allocated
+    during the call, in doubles; the arguments, allocated before, do not count."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, (peak - before) / 8

@@ -23,7 +23,9 @@ from cancorr.dataset import (
     standardize,
     write_view_csv,
 )
-from cancorr.kernel import KernelSpec, center_gram, gram, median_heuristic
+from cancorr.kernel import (
+    KernelSpec, build_gram_pair, center_gram, fit_kernel_cca_pgso, gram, median_heuristic,
+)
 from cancorr.numerics import NumericalError
 
 
@@ -268,6 +270,29 @@ class TestKccaCommand:
         assert rep["solver"] == "kernel_pgso"
         assert rep["regularization"]["kappa"] == 0.5
         assert len(rep["correlations"]) == 3
+
+    def test_pgso_diagnostics_reported(self, tmp_path):
+        source = ("--recipe", "example8", "--recipe-n", "400", "--seed", "0")
+        out_pgso, out_direct = tmp_path / "pgso", tmp_path / "direct"
+        assert run("kcca", *source, "--pgso", "--out", out_pgso) == 0
+        assert run("kcca", *source, "--out", out_direct) == 0
+        rep = report_of(out_pgso)
+        data = generate_synthetic(get_recipe("example8", seed=0, n=400))
+        data = data if data.standardized else standardize(data)
+        model = fit_kernel_cca_pgso(
+            build_gram_pair(
+                data,
+                KernelSpec("gaussian", rep["kernel_width_a"]),
+                KernelSpec("gaussian", rep["kernel_width_b"]),
+            ),
+            kappa=0.5,
+            r=3,
+        )
+        assert rep["factor_columns"] == list(model.factor_columns)
+        assert rep["residual_traces"] == list(model.residual_traces)
+        assert all(0 < columns < data.n for columns in rep["factor_columns"])
+        direct = report_of(out_direct)
+        assert "factor_columns" not in direct and "residual_traces" not in direct
 
     def test_bad_sigma_rejected(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)

@@ -30,8 +30,10 @@ from cancorr import (
 )
 from cancorr.dataset import relation_signals
 from cancorr.kernel import KernelCcaModel, _assemble_kernel_model
-from cancorr.numerics import fix_signs, partial_gram_schmidt, top_svd, well_conditioned
-from tests.conftest import one_dominant
+from cancorr.numerics import (
+    SvdResult, fix_signs, lead_signs, partial_gram_schmidt, top_svd, well_conditioned,
+)
+from tests.conftest import one_dominant, traced_peak
 from tests.test_numerics import scalar_partial_gram_schmidt
 
 
@@ -127,6 +129,84 @@ def pgso_loop_fit(pair: GramPair, kappa: float, r: int):
     z_b = z_b * np.sign(corr)
     order = np.argsort(-np.abs(corr), kind="stable")
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
+
+
+def example8_pair(seed: int, n: int) -> GramPair:
+    return gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=seed, n=n))))
+
+
+def three_temporary_center_gram(k: np.ndarray) -> np.ndarray:
+    """Reference centering: column, row and grand means through full-size temporaries."""
+    return k - k.mean(axis=0)[None, :] - k.mean(axis=1)[:, None] + k.mean()
+
+
+def tril_partial_gram_schmidt(k: np.ndarray, eta: float) -> np.ndarray:
+    """Reference factorisation: ``dpstrf`` with its leftover upper triangle
+    cleared by an ``np.tril`` copy of the kept columns."""
+    n = k.shape[0]
+    d = np.diag(k).copy()
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+        np.array(k, order="F"), tol=1e-12 * max(float(d.max()), 1.0), lower=1, overwrite_a=1
+    )
+    factor = np.tril(c[:, :rank])
+    residual_trace = float(d.sum()) - np.concatenate(
+        [[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))]
+    )
+    cols = int(np.argmax(residual_trace <= eta)) if residual_trace[-1] <= eta else rank
+    r = np.empty((n, cols))
+    r[piv - 1] = factor[:, :cols]
+    return r
+
+
+def copying_top_svd(m: np.ndarray, r: int) -> SvdResult:
+    """Reference ``top_svd``: the subset ``eigh`` works on a copy of ``m @ m.T``."""
+    rows = m.shape[0]
+    _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
+    p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
+    signs = lead_signs(q @ p)
+    return SvdResult(q @ p * signs, s, vh.T * signs)
+
+
+def copying_kernel_fit(pair: GramPair, c1: float, c2: float, r: int) -> KernelCcaModel:
+    """Reference direct solve with full-size temporaries: the inverses mirrored
+    through ``np.tril``, and ``I - c inv`` formed from ``np.eye``."""
+
+    def ridged_inverse(k, c):
+        work = np.array(k, order="F")
+        work[np.diag_indices_from(work)] += c
+        factor, _ = scipy.linalg.lapack.dpotrf(work, lower=1, overwrite_a=1)
+        inverse, _ = scipy.linalg.lapack.dpotri(factor, lower=1, overwrite_c=1)
+        inverse += np.tril(inverse, -1).T
+        return inverse
+
+    inverse_a = ridged_inverse(pair.k_a, c1)
+    inverse_b = ridged_inverse(pair.k_b, c2)
+    eye = np.eye(pair.n)
+    res = copying_top_svd((eye - c1 * inverse_a) @ (eye - c2 * inverse_b), r)
+    duals = fix_signs(np.vstack([inverse_a @ res.u, inverse_b @ res.v]))
+    return _assemble_kernel_model(
+        pair, duals[: pair.n], duals[pair.n:], "kernel_pencil", {"c1": c1, "c2": c2}
+    )
+
+
+def copying_pgso_fit(pair: GramPair, kappa: float, r: int) -> KernelCcaModel:
+    """Reference reduced solve at the default ``eta`` with every reduced block
+    kept: ``D_ab``, ``D_bb``, a ridged copy from ``np.eye``, three Cholesky
+    copies and the whitening solves' intermediates."""
+    r_a = partial_gram_schmidt(pair.k_a, 1e-6 * np.trace(pair.k_a))
+    r_b = partial_gram_schmidt(pair.k_b, 1e-6 * np.trace(pair.k_b))
+    d_ab = r_a.T @ r_b
+    d_bb = r_b.T @ r_b
+    s = scipy.linalg.cholesky(r_a.T @ r_a, lower=True)
+    l_b = scipy.linalg.cholesky(d_bb + kappa * np.eye(d_bb.shape[0]), lower=True)
+    bb_plain = scipy.linalg.cho_factor(d_bb, lower=True)
+    t = scipy.linalg.solve_triangular(s, d_ab, lower=True)
+    res = copying_top_svd(scipy.linalg.solve_triangular(l_b, t.T, lower=True).T, r)
+    alpha_red = scipy.linalg.solve_triangular(s, res.u, lower=True, trans="T")
+    beta_red = scipy.linalg.cho_solve(bb_plain, d_ab.T @ alpha_red) / res.s
+    alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
+    beta = r_b @ scipy.linalg.cho_solve(bb_plain, beta_red)
+    return _assemble_kernel_model(pair, alpha, beta, "kernel_pgso", {"kappa": kappa})
 
 
 @pytest.fixture
@@ -226,6 +306,21 @@ class TestCenterGram:
         assert np.abs(k.sum(axis=1)).max() <= 1e-8
         assert np.abs(k - k.T).max() <= 1e-12
         assert np.linalg.eigvalsh(k).min() >= -1e-8
+
+    @pytest.mark.parametrize("recipe, n", [("example7", None), ("example8", 1500)])
+    def test_exactly_symmetric_and_matches_the_three_temporary_formula(self, recipe, n):
+        data = standardize(generate_synthetic(get_recipe(recipe, seed=0, n=n)))
+        for view in (data.view_a, data.view_b):
+            k = gram(view, KernelSpec("gaussian", median_heuristic(view)))
+            before = k.copy()
+            centered = center_gram(k)
+            assert np.array_equal(k, before)
+            assert np.array_equal(centered, centered.T)
+            tol = 4e-15 * max(1.0, float(np.abs(k).max()))
+            assert np.abs(centered - three_temporary_center_gram(k)).max() <= tol
+        # build_gram_pair centres each new Gram in place, to the same bits
+        pair = gaussian_pair(data)
+        assert np.array_equal(pair.k_b, centered)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -353,6 +448,23 @@ class TestFitKernelCca:
         assert np.abs(model.correlations - reference.correlations).max() <= 1e-12
         assert np.abs(model.z_a - reference.z_a).max() <= 1e-10
         assert np.abs(model.z_b - reference.z_b).max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "recipe, n, seed, ridges",
+        [
+            ("example7", None, 0, [(0.05, 0.6), (1.5, 0.6)]),
+            ("example7", None, 1, [(0.05, 0.6), (1.5, 0.6)]),
+            ("example8", 1500, 0, [(1.5, 0.6)]),
+        ],
+    )
+    def test_bit_equal_to_the_copying_solve(self, recipe, n, seed, ridges):
+        pair = gaussian_pair(standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n))))
+        for c1, c2 in ridges:
+            model = fit_kernel_cca(pair, c1, c2, 3)
+            ref = copying_kernel_fit(pair, c1, c2, 3)
+            assert np.array_equal(model.correlations, ref.correlations)
+            assert np.array_equal(model.alpha, ref.alpha)
+            assert np.array_equal(model.beta, ref.beta)
 
     def test_raises_exactly_when_a_ridged_spectrum_fails(self, eigen_calls):
         _, pair = linear_pair_60x3()
@@ -482,6 +594,22 @@ class TestFitKernelCcaPgso:
         assert np.abs(model.z_a - z_a).max() <= 1e-9
         assert np.abs(model.z_b - z_b).max() <= 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_copying_solve(self, seed):
+        pair = example8_pair(seed, 2000)
+        model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
+        ref = copying_pgso_fit(pair, 0.5, 3)
+        assert np.abs(model.correlations - ref.correlations).max() <= 1e-9
+        assert np.abs(model.z_a - ref.z_a).max() <= 1e-9
+        assert np.abs(model.z_b - ref.z_b).max() <= 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factors_bit_equal_to_the_tril_copy(self, seed):
+        pair = example8_pair(seed, 1500)
+        for k in (pair.k_a, pair.k_b):
+            eta = 1e-6 * np.trace(k)
+            assert np.array_equal(partial_gram_schmidt(k, eta), tril_partial_gram_schmidt(k, eta))
+
     def test_records_factor_columns_and_residual_traces(self):
         pair = gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=0, n=600))))
         model = fit_kernel_cca_pgso(pair, kappa=0.5, r=2)
@@ -546,6 +674,40 @@ class TestFitKernelCcaPgso:
         monkeypatch.setattr(kernel_module, "partial_gram_schmidt", degenerate_factor)
         with pytest.raises(NumericalError, match="decrease eta or increase kappa"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=1)
+
+
+class TestWorkingSet:
+    """Peak memory allocated by each kernel stage, in doubles, above its inputs
+    (example8, n = 1500, data seed 0, gaussian widths 3.0)."""
+
+    n = 1500
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return standardize(generate_synthetic(get_recipe("example8", seed=0, n=self.n)))
+
+    @pytest.fixture(scope="class")
+    def pair(self, data):
+        spec = KernelSpec("gaussian", 3.0)
+        return build_gram_pair(data, spec, spec)
+
+    def test_center_gram_allocates_only_its_output(self, data):
+        k = gram(data.view_a, KernelSpec("gaussian", 3.0))
+        _, peak = traced_peak(center_gram, k)
+        assert peak <= 1.05 * self.n**2
+
+    def test_partial_gram_schmidt_keeps_one_work_array(self, pair):
+        factor, peak = traced_peak(partial_gram_schmidt, pair.k_a, 1e-6 * np.trace(pair.k_a))
+        assert peak <= self.n**2 + factor.size + 0.05 * self.n**2
+
+    def test_reduced_fit_keeps_the_factors_and_four_blocks(self, pair):
+        model, peak = traced_peak(fit_kernel_cca_pgso, pair, kappa=0.5, r=3)
+        m_a, m_b = model.factor_columns
+        assert peak <= self.n * (m_a + m_b) + 4.25 * max(m_a, m_b) ** 2
+
+    def test_direct_fit_keeps_five_square_arrays(self, pair):
+        _, peak = traced_peak(fit_kernel_cca, pair, 0.5, 0.5, 3)
+        assert peak <= 5.05 * self.n**2
 
 
 def degenerate_view(rng, n: int, dim: int) -> np.ndarray:

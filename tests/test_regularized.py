@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cancorr import (
     NumericalError,
@@ -359,3 +361,50 @@ class TestMatchesScalarLoop:
             RegularizationConfig(c1_grid=(0.0, 1000.0), c2_grid=(0.0,), repetitions=3, seed=3),
         )
         assert 0 < surface.failed_folds[0, 0] < 15
+
+
+def degenerate_linear_view(rng, n: int, dim: int, rank: int) -> np.ndarray:
+    """A view of at most ``rank`` independent columns, with a near-duplicate
+    column (when it has two) and near-duplicate rows."""
+    view = rng.standard_normal((n, min(rank, dim))) @ rng.standard_normal((min(rank, dim), dim))
+    if dim > 1:
+        view[:, -1] = view[:, 0] + 1e-9 * rng.standard_normal(n)
+    view[n // 2:] = view[: n - n // 2] + 1e-9 * rng.standard_normal((n - n // 2, dim))
+    return view
+
+
+@settings(max_examples=400)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 40),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ranks=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ridges=st.tuples(
+        st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0**e)),
+        st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0**e)),
+    ),
+    svd=st.booleans(),
+)
+# two rows repeated: the image cosines round to 1 + 2.2e-16
+@example(seed=6405, n=4, dims=(1, 1), ranks=(5, 3), ridges=(0.0, 0.0), svd=True)
+@example(seed=8672, n=4, dims=(4, 4), ranks=(4, 4), ridges=(1e-6, 1e-6), svd=False)
+def test_linear_fits_are_valid_or_raise(seed, n, dims, ranks, ridges, svd):
+    """Degenerate inputs either raise or give finite weights, unit-norm images
+    and descending correlations in [0, 1] equal to the image cosines."""
+    rng = np.random.default_rng(seed)
+    data = standardize(PairedDataset(
+        degenerate_linear_view(rng, n, dims[0], ranks[0]),
+        degenerate_linear_view(rng, n, dims[1], ranks[1]),
+    ))
+    try:
+        model = fit_svd(data) if svd else fit_regularized(data, *ridges)
+    except ValueError:  # NumericalError included
+        return
+    for values in (model.w_a, model.w_b, model.correlations, model.z_a, model.z_b):
+        assert np.all(np.isfinite(values))
+    for z in (model.z_a, model.z_b):
+        assert np.abs(np.linalg.norm(z, axis=0) - 1.0).max() <= 1e-12
+    corr = model.correlations
+    assert np.all((corr >= 0.0) & (corr <= 1.0))
+    assert np.all(np.diff(corr) <= 0.0)
+    assert np.abs(np.einsum("ij,ij->j", model.z_a, model.z_b) - corr).max() <= 1e-12
