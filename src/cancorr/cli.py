@@ -11,12 +11,14 @@ failures.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,23 +35,29 @@ from .dataset import (
     write_csv_rows,
     write_view_csv,
 )
-from .evaluation import biplot_export, sequential_test
-from .kernel import (
-    KernelSpec,
-    build_gram_pair,
-    center_gram,
-    fit_kernel_cca,
-    fit_kernel_cca_pgso,
-    gram,
-    image_relation_table,
-    median_heuristic,
-)
-from .linear import SOLVERS, CcaModel, project
 from .numerics import NumericalError, unit_images
-from .regularized import RegularizationConfig, cross_validate, fit_regularized
-from .sparse import fit_pmd, fit_primal_dual, scan_basis
+
+if TYPE_CHECKING:
+    from .kernel import KernelSpec
+    from .linear import CcaModel
 
 SIGNIFICANCE_CSV = "significance.csv"
+# The keys of ``linear.SOLVERS``, spelled out so that building the parser
+# does not import the linear layer.
+SOLVER_NAMES = ("eig", "geneig", "svd")
+# The layer modules each command computes with.  Commands import layer
+# functions when they run; ``main`` imports these modules before it starts
+# the timer, so the reported elapsed time never includes an import.
+COMMAND_LAYERS = {
+    "fit": ("linear", "evaluation"),
+    "test": ("linear", "evaluation"),
+    "biplot": ("linear", "evaluation"),
+    "cv": ("regularized",),
+    "kcca": ("kernel",),
+    "pdscca": ("kernel", "sparse"),
+    "pmd": ("sparse",),
+    "simulate": (),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +185,8 @@ def _prepare(args, seed: int):
 def _significance(args, model: CcaModel, n: int, tracker: OutputTracker) -> dict:
     """Sequential test of ``model``'s correlations, written to significance.csv;
     returns the report fields that fit and test share."""
+    from .evaluation import sequential_test
+
     significance = sequential_test(
         model.correlations, n=n, p=model.p, q=model.q, alpha=args.alpha, clamp_perfect=True,
     )
@@ -191,13 +201,13 @@ def _significance(args, model: CcaModel, n: int, tracker: OutputTracker) -> dict
 def _slice_model(model: CcaModel, r: int) -> CcaModel:
     if r >= model.r:
         return model
-    return CcaModel(
+    return replace(
+        model,
         w_a=model.w_a[:, :r],
         w_b=model.w_b[:, :r],
         correlations=model.correlations[:r],
         z_a=model.z_a[:, :r],
         z_b=model.z_b[:, :r],
-        solver=model.solver,
     )
 
 
@@ -228,6 +238,8 @@ def _config_echo(args) -> dict:
 
 
 def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[KernelSpec, float | None]:
+    from .kernel import KernelSpec, median_heuristic
+
     if kind == "linear":
         return KernelSpec("linear"), None
     if sigma == "median":
@@ -245,6 +257,8 @@ def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[K
 
 
 def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
+    from .linear import SOLVERS, project
+
     train_std, _, test = _prepare(args, seed)
     model = SOLVERS[args.solver](train_std)
     r = args.components or model.r
@@ -277,6 +291,8 @@ def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
+    from .regularized import RegularizationConfig, cross_validate, fit_regularized
+
     data_std, _, _ = _prepare(args, seed)
     config = RegularizationConfig(
         c1_grid=_parse_grid(args.grid_c1),
@@ -309,6 +325,10 @@ def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
+    from .kernel import (
+        build_gram_pair, fit_kernel_cca, fit_kernel_cca_pgso, image_relation_table,
+    )
+
     data_std, recipe, _ = _prepare(args, seed)
     spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
@@ -350,6 +370,8 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
+    from .sparse import fit_pmd
+
     data_std, _, _ = _prepare(args, seed)
     blocks = covariance_blocks(data_std)
     result = fit_pmd(blocks.c_ab, args.budget_a, args.budget_b, args.components)
@@ -374,6 +396,9 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
+    from .kernel import center_gram, gram
+    from .sparse import fit_primal_dual, scan_basis
+
     data_std, _, _ = _prepare(args, seed)
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     k_b = center_gram(gram(data_std.view_b, spec_b))
@@ -412,6 +437,8 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_test(args, seed: int, tracker: OutputTracker) -> dict:
+    from .linear import SOLVERS
+
     data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
     significance = _significance(args, model, data_std.n, tracker)
@@ -425,6 +452,9 @@ def _cmd_test(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
+    from .evaluation import biplot_export
+    from .linear import SOLVERS
+
     data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
     try:
@@ -504,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = subs.add_parser("fit", help="linear fit with significance and optional held-out scoring")
     _add_source_args(fit, with_split=True)
     _add_common_args(fit)
-    fit.add_argument("--solver", choices=sorted(SOLVERS), default="svd")
+    fit.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     fit.add_argument("--components", type=int, default=None)
     fit.add_argument("--alpha", type=float, default=0.01)
     fit.set_defaults(func=_cmd_fit)
@@ -564,14 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     test = subs.add_parser("test", help="sequential significance test of the correlations")
     _add_source_args(test)
     _add_common_args(test)
-    test.add_argument("--solver", choices=sorted(SOLVERS), default="svd")
+    test.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     test.add_argument("--alpha", type=float, default=0.01)
     test.set_defaults(func=_cmd_test)
 
     biplot = subs.add_parser("biplot", help="structure-correlation table for an image pair")
     _add_source_args(biplot)
     _add_common_args(biplot)
-    biplot.add_argument("--solver", choices=sorted(SOLVERS), default="svd")
+    biplot.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     biplot.add_argument("--pair", default="1,2", help="two 1-based component numbers, e.g. 1,2")
     biplot.add_argument("--view", choices=("a", "b"), default="a")
     biplot.set_defaults(func=_cmd_biplot)
@@ -598,6 +628,8 @@ def _write_report(path: Path, report: dict, tracker: OutputTracker) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for layer in COMMAND_LAYERS[args.command]:
+        importlib.import_module(f".{layer}", __package__)
     out_dir: Path = args.out
     tracker = OutputTracker(out_dir)
     # registered first, so a failed run also removes a report left by an earlier one

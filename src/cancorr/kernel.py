@@ -139,8 +139,9 @@ class KernelCcaModel:
     """Dual weight pairs with their correlations and unit-norm training images.
 
     The reduced route also records, per view, the column count of the Gram's
-    factor and the residual trace ``trace(K) - ||R||_F^2`` it leaves; the
-    direct route leaves both empty.
+    factor and the residual trace ``trace(K - R R.T)`` it leaves, summed from
+    the residual diagonal so that it is never negative; the direct route
+    leaves both empty.
     """
 
     alpha: np.ndarray
@@ -297,6 +298,19 @@ def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
     return factor
 
 
+def _residual_trace(k: np.ndarray, factor: np.ndarray) -> float:
+    """Trace of ``k - factor @ factor.T``, summed from its diagonal with each
+    entry clipped at zero.
+
+    For a positive semi-definite ``k`` that diagonal is zero on the pivot rows
+    and non-negative on the rows not picked, so a negative entry is roundoff.
+    The clipped sum cannot go negative, where ``trace(k) - ||factor||_F^2``,
+    a difference of nearly equal numbers once the factor is nearly full, can.
+    """
+    residual = np.diag(k) - np.einsum("ij,ij->i", factor, factor)
+    return float(np.maximum(residual, 0.0).sum())
+
+
 def fit_kernel_cca_pgso(
     grams: GramPair,
     kappa: float,
@@ -373,10 +387,7 @@ def fit_kernel_cca_pgso(
     return replace(
         model,
         factor_columns=(r_a.shape[1], r_b.shape[1]),
-        residual_traces=(
-            float(np.trace(grams.k_a) - np.einsum("ij,ij->", r_a, r_a)),
-            float(np.trace(grams.k_b) - np.einsum("ij,ij->", r_b, r_b)),
-        ),
+        residual_traces=(_residual_trace(grams.k_a, r_a), _residual_trace(grams.k_b, r_b)),
     )
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.special import chdtri
+
+# scipy.linalg is imported inside the functions that call it: the pmd and
+# simulate commands use none of them and start faster without it.
 
 # Relative symmetry tolerance for inputs that must be symmetric.
 SYM_RTOL = 1e-12
@@ -144,6 +146,8 @@ def sym_eig(a) -> EigenResult:
     Returns eigenvalues descending and orthonormal eigenvectors with the
     largest-magnitude entry of each column positive.
     """
+    import scipy.linalg
+
     a = check_symmetric(a)
     values, vectors = scipy.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
@@ -156,6 +160,8 @@ def gen_eig_sym(a, b) -> EigenResult:
     Eigenvectors are B-normalised (``v.T @ b @ v = 1``) and eigenvalues are
     returned in descending order.
     """
+    import scipy.linalg
+
     a = check_symmetric(a, name="A")
     b = check_symmetric(b, name="B")
     if a.shape != b.shape:
@@ -194,6 +200,8 @@ def _signed_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:
 
 def inv_sqrt_spd(a) -> np.ndarray:
     """Inverse matrix square root of a symmetric positive-definite matrix."""
+    import scipy.linalg
+
     a = check_symmetric(a)
     values, vectors = scipy.linalg.eigh(a)
     if not well_conditioned(values):
@@ -216,6 +224,8 @@ def top_svd(m, r: int) -> SvdResult:
     rather than from the squared eigenvalues, so a rank shortage still shows
     as singular values at roundoff level.
     """
+    import scipy.linalg
+
     m = as_checked_array(m)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
@@ -256,6 +266,8 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     -------
     ndarray of shape (n, m) with m <= n such that ``k ~= r @ r.T``.
     """
+    import scipy.linalg
+
     k = check_symmetric(k, name="gram matrix")
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")

@@ -7,13 +7,19 @@ files exactly as a scripted pipeline would.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cancorr.cli as cli
+import cancorr.linear
 from cancorr import __version__
 from cancorr.cli import _parse_grid, main
 from cancorr.dataset import (
@@ -136,6 +142,15 @@ class TestFitCommand:
         assert rep_eig["solver"] == "eig"
         assert np.allclose(rep_eig["correlations"], report_of(out_svd)["correlations"],
                            atol=1e-8)
+
+    def test_solver_choices_are_the_linear_solvers(self):
+        # the parser spells the names out so that building it does not import linear
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for command in ("fit", "test", "biplot"):
+            solver = next(a for a in subs.choices[command]._actions if a.dest == "solver")
+            assert list(solver.choices) == sorted(cancorr.linear.SOLVERS)
+        assert sorted(cancorr.linear.SOLVERS) == ["eig", "geneig", "svd"]
 
 
 class TestCvCommand:
@@ -425,7 +440,8 @@ class TestErrorExits:
         def boom(*args, **kwargs):
             raise NumericalError("forced failure after side files were written")
 
-        monkeypatch.setattr(cli, "project", boom)
+        # the fit command looks ``project`` up in the linear layer when it runs
+        monkeypatch.setattr(cancorr.linear, "project", boom)
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--recipe-n", "100",
                  "--test-split", "0.4", "--out", tmp_path)
         assert rc == 3
@@ -495,3 +511,77 @@ class TestReproducibility:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# Runs ``python -m cancorr ARGV`` in this interpreter and writes, as JSON, its
+# exit code, every module loaded by the end of the run, and the modules loaded
+# after the CLI first read its clock (the start of the timed region).
+START_UP_PROBE = """
+import json, runpy, sys, time
+
+out_path, argv = sys.argv[1], sys.argv[2:]
+marks = []
+perf_counter = time.perf_counter
+
+
+def probed_perf_counter():
+    if sys._getframe(1).f_globals.get("__name__") == "cancorr.cli":
+        marks.append(set(sys.modules))
+    return perf_counter()
+
+
+time.perf_counter = probed_perf_counter
+sys.argv = ["cancorr", *argv]
+code = 0
+try:
+    runpy.run_module("cancorr", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = set(sys.modules)
+with open(out_path, "w", encoding="utf-8") as fh:
+    json.dump({"exit": code, "marks": len(marks), "loaded": sorted(loaded),
+               "timed": sorted(loaded - marks[0]) if marks else None}, fh)
+"""
+
+
+def start_up_probe(tmp_path, *argv) -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out_path = tmp_path / "probe.json"
+    subprocess.run(
+        [sys.executable, "-c", START_UP_PROBE, str(out_path), *argv,
+         "--seed", "0", "--out", str(tmp_path / "out")],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestStartUp:
+    """Each command, in a fresh interpreter, imports its layers before the
+    timer starts, and loads only the scipy modules it computes with."""
+
+    @pytest.mark.parametrize("argv, expect_exit, absent", [
+        (("fit", "--recipe", "example1", "--test-split", "0.4"), 0, ("scipy.spatial",)),
+        (("test", "--recipe", "example1"), 0, ("scipy.spatial",)),
+        (("biplot", "--recipe", "example1"), 0, ("scipy.spatial",)),
+        (("cv", "--recipe", "example6", "--grid-c1", "0.1,10", "--grid-c2", "0.1,10",
+          "--folds", "2", "--reps", "1"), 0, ("scipy.spatial",)),
+        (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0, ()),
+        (("kcca", "--recipe", "example7", "--pgso"), 0, ()),
+        (("pdscca", "--recipe", "example10", "--basis", "0"), 0, ()),
+        (("pmd", "--recipe", "example9", "--budget-a", "1.2", "--budget-b", "1.2",
+          "--components", "3"), 0, ("scipy.linalg", "scipy.spatial")),
+        (("simulate", "--recipe", "example1"), 0, ("scipy.linalg", "scipy.spatial")),
+        # example6 is wider than it is long: the plain fit fails numerically
+        (("fit", "--recipe", "example6"), 3, ("scipy.spatial",)),
+    ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-pgso", "pdscca", "pmd", "simulate",
+            "fit-exit3"])
+    def test_timed_region_loads_no_module(self, tmp_path, argv, expect_exit, absent):
+        probe = start_up_probe(tmp_path, *argv)
+        assert probe["exit"] == expect_exit
+        assert probe["marks"] == (2 if expect_exit == 0 else 1)
+        assert probe["timed"] == []
+        assert not set(absent) & set(probe["loaded"])
+

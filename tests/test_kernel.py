@@ -624,6 +624,20 @@ class TestFitKernelCcaPgso:
         direct = fit_kernel_cca(pair, 0.5, 0.5, 2)
         assert direct.factor_columns == () and direct.residual_traces == ()
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residual_traces_are_never_negative(self, seed):
+        # example7's factors are nearly full, so trace(K) - ||R||_F^2 is
+        # roundoff of either sign: it reads below zero on data seeds 2-4
+        data = standardize(generate_synthetic(get_recipe("example7", seed=seed)))
+        for standardized in (data, standardize(data)):
+            pair = gaussian_pair(standardized)
+            model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
+            for k, residual in zip((pair.k_a, pair.k_b), model.residual_traces):
+                trace = np.trace(k)
+                factor = partial_gram_schmidt(k, 1e-6 * trace)
+                assert residual >= 0.0
+                assert abs(residual - (trace - np.sum(factor**2))) <= 1e-9 * trace
+
     def test_duplicated_observations_reduce_rank(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((12, 3))

@@ -1,5 +1,6 @@
 """Decomposition helpers: hand-checked values, reconstruction oracles, properties."""
 
+import json
 import os
 import subprocess
 import sys
@@ -371,15 +372,31 @@ class TestChi2Quantile:
 
     def test_package_import_leaves_out_scipy_optimize(self):
         # scipy.optimize costs about a tenth of a second of every CLI start-up
+        # that loads it; the package itself loads no scipy and no layer until
+        # a name is used, and the CLI module leaves out the kernel layer and
+        # its scipy.spatial
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import json, sys\n"
+            "import cancorr\n"
+            "package = sorted(sys.modules)\n"
+            "import cancorr.cli\n"
+            "with_cli = sorted(sys.modules)\n"
+            "[getattr(cancorr, name) for name in cancorr.__all__]\n"
+            "print(json.dumps([package, with_cli, sorted(sys.modules)]))\n"
+        )
         out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cancorr; print('scipy.optimize' in sys.modules)"],
+            [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, check=True, timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        package, with_cli, every_layer = json.loads(out.stdout)
+        assert "scipy.optimize" not in every_layer
+        assert "cancorr.kernel" in every_layer
+        assert not [m for m in package if m == "scipy" or m.startswith("scipy.")]
+        assert [m for m in package if m.startswith("cancorr")] == ["cancorr"]
+        assert "scipy.spatial" not in with_cli and "cancorr.kernel" not in with_cli
 
 
 class TestHelpers:
