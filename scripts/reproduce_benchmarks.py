@@ -40,6 +40,7 @@ from cancorr import (
     standardize,
     take_rows,
 )
+from cancorr.numerics import unit_images
 
 
 def one_dominant(table: np.ndarray, thresh: float = 0.7) -> bool:
@@ -197,12 +198,8 @@ def run_sparse(seeds: int) -> None:
                  int(np.abs(result.w_b[:, j]).argmax()))
                 for j in range(3)
             }
-            corrs = []
-            for j in range(3):
-                z_a = data.view_a @ result.w_a[:, j]
-                z_b = data.view_b @ result.w_b[:, j]
-                corrs.append(abs(z_a @ z_b) / (np.linalg.norm(z_a) * np.linalg.norm(z_b)))
-            hits += pairs == {(2, 0), (0, 1), (3, 2)} and min(corrs) >= 0.85
+            corrs = np.abs(unit_images(data.view_a @ result.w_a, data.view_b @ result.w_b)[2])
+            hits += pairs == {(2, 0), (0, 1), (3, 2)} and corrs.min() >= 0.85
         print(f"   planted variable pairs recovered with correlations >= 0.85: "
               f"{hits}/{seeds} seeds")
 

@@ -261,7 +261,7 @@ def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
 
     train_std, _, test = _prepare(args, seed)
     model = SOLVERS[args.solver](train_std)
-    r = args.components or model.r
+    r = model.r if args.components is None else args.components
     if not 1 <= r <= model.r:
         raise ValueError(f"--components must lie in [1, {model.r}], got {r}")
     sliced = _slice_model(model, r)
@@ -375,9 +375,7 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
     data_std, _, _ = _prepare(args, seed)
     blocks = covariance_blocks(data_std)
     result = fit_pmd(blocks.c_ab, args.budget_a, args.budget_b, args.components)
-    *_, corr, norm_a, norm_b = unit_images(data_std.view_a @ result.w_a,
-                                           data_std.view_b @ result.w_b)
-    corr = np.where((norm_a > 0) & (norm_b > 0), corr, 0.0)
+    corr = unit_images(data_std.view_a @ result.w_a, data_std.view_b @ result.w_b)[2]
     wa_path = tracker.path("sparse_weights_a.csv")
     wb_path = tracker.path("sparse_weights_b.csv")
     _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a)
@@ -654,7 +652,7 @@ def main(argv=None) -> int:
         tracker.cleanup()
         print(f"error: could not write {report_path}: {exc}", file=sys.stderr)
         return 2
-    print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - started:.6f}s", file=sys.stderr)
     print(f"report: {report_path}")
     return 0
 

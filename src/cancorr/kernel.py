@@ -13,7 +13,7 @@ from scipy.spatial.distance import pdist, squareform
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
     COND_LIMIT, SYM_BLOCK, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
-    pearson_columns, top_svd, unit_images, well_conditioned,
+    pearson_columns, ranked_pairs, top_svd, well_conditioned,
 )
 
 # The direct fit inverts two ridged n x n Grams and takes the top singular
@@ -162,27 +162,18 @@ class KernelCcaModel:
 def _assemble_kernel_model(
     grams: GramPair, alpha: np.ndarray, beta: np.ndarray, solver: str, reg: dict
 ) -> KernelCcaModel:
-    """Rescale duals to unit-norm images, orient, and sort by realized cosine (at most 1)."""
-    z_a, z_b, corr, norm_a, norm_b = unit_images(grams.k_a @ alpha, grams.k_b @ beta)
-    if np.any(norm_a < 1e-12) or np.any(norm_b < 1e-12):
-        raise NumericalError(
-            "a kernel image collapsed to the zero vector; "
-            "reduce the component count or the regularisation"
-        )
-    alpha = alpha / norm_a
-    beta = beta / norm_b
-    flip = corr < 0
-    beta = np.where(flip, -beta, beta)
-    z_b = np.where(flip, -z_b, z_b)
-    # the cosine of two unit vectors can exceed 1 by an ulp
-    corr = np.minimum(np.abs(corr), 1.0)
-    order = np.argsort(-corr, kind="stable")
+    """Orient and rank the pairs (``ranked_pairs``), then rescale the duals to unit-norm images."""
+    alpha, beta, corr, z_a, z_b, norm_a, norm_b = ranked_pairs(
+        alpha, beta, grams.k_a @ alpha, grams.k_b @ beta, 1e-12,
+        "a kernel image collapsed to the zero vector; "
+        "reduce the component count or the regularisation",
+    )
     return KernelCcaModel(
-        alpha=alpha[:, order],
-        beta=beta[:, order],
-        correlations=corr[order],
-        z_a=z_a[:, order],
-        z_b=z_b[:, order],
+        alpha=alpha / norm_a,
+        beta=beta / norm_b,
+        correlations=corr,
+        z_a=z_a,
+        z_b=z_b,
         solver=solver,
         regularization=tuple(sorted((k, float(v)) for k, v in reg.items())),
     )

@@ -14,7 +14,8 @@ import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
-    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, lead_signs, unit_images, well_conditioned
+    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, lead_signs, ranked_pairs, unit_images,
+    well_conditioned,
 )
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
@@ -162,25 +163,13 @@ def _resolve_r(r: int | None, blocks: CovarianceBlocks) -> int:
 
 
 def _finalize(data: PairedDataset, w_a: np.ndarray, w_b: np.ndarray, solver: str) -> CcaModel:
-    """Fix signs, build unit-norm images, orient pairs, and sort by correlation."""
+    """Fix signs, then orient the pairs and sort them by image cosine (``ranked_pairs``)."""
     w_a = fix_signs(w_a)
-    z_a, z_b, corr, norm_a, norm_b = unit_images(data.view_a @ w_a, data.view_b @ w_b)
-    if np.any(norm_a < 1e-300) or np.any(norm_b < 1e-300):
-        raise NumericalError("an image collapsed to the zero vector; data is degenerate")
-    flip = corr < 0
-    w_b = np.where(flip, -w_b, w_b)
-    z_b = np.where(flip, -z_b, z_b)
-    # the cosine of two unit vectors can exceed 1 by an ulp
-    corr = np.minimum(np.abs(corr), 1.0)
-    order = np.argsort(-corr, kind="stable")
-    return CcaModel(
-        w_a=w_a[:, order],
-        w_b=w_b[:, order],
-        correlations=corr[order],
-        z_a=z_a[:, order],
-        z_b=z_b[:, order],
-        solver=solver,
+    w_a, w_b, corr, z_a, z_b, _, _ = ranked_pairs(
+        w_a, w_b, data.view_a @ w_a, data.view_b @ w_b, 1e-300,
+        "an image collapsed to the zero vector; data is degenerate",
     )
+    return CcaModel(w_a=w_a, w_b=w_b, correlations=corr, z_a=z_a, z_b=z_b, solver=solver)
 
 
 def _eig_core(c_first: np.ndarray, c_second: np.ndarray, c_fs: np.ndarray, r: int):

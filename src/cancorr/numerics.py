@@ -60,11 +60,12 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each column is positive.
 
-    Ties in magnitude are broken by the lowest row index (argmax picks the
-    first maximiser), which keeps the convention deterministic.
+    Works on stacks of shape (..., rows, cols).  Ties in magnitude are broken
+    by the lowest row index (argmax picks the first maximiser), which keeps
+    the convention deterministic.
     """
     v = np.asarray(vectors, dtype=float)
-    return v * lead_signs(v)
+    return v * lead_signs(v)[..., None, :]
 
 
 def lead_signs(m: np.ndarray) -> np.ndarray:
@@ -95,19 +96,40 @@ def unit_images(z_a: np.ndarray, z_b: np.ndarray):
 
     Works on stacks of shape (..., n, r).  Returns ``(u_a, u_b, cosines,
     norm_a, norm_b)``: the unit images, the per-column cosines
-    ``sum(u_a * u_b)`` of shape (..., r), and the image norms, so each caller
-    applies its own rule to collapsed images (a zero column gives NaN).
+    ``sum(u_a * u_b)`` of shape (..., r) clipped to [-1, 1] (0 for a pair
+    with a zero image), and the image norms, so each caller applies its own
+    rule to collapsed images.
     """
     norm_a = np.linalg.norm(z_a, axis=-2)
     norm_b = np.linalg.norm(z_b, axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_a = z_a / norm_a[..., None, :]
         u_b = z_b / norm_b[..., None, :]
-    return u_a, u_b, np.einsum("...ij,...ij->...j", u_a, u_b), norm_a, norm_b
+    cosines = np.clip(np.einsum("...ij,...ij->...j", u_a, u_b), -1.0, 1.0)
+    return u_a, u_b, np.where((norm_a > 0) & (norm_b > 0), cosines, 0.0), norm_a, norm_b
+
+
+def ranked_pairs(coef_a, coef_b, z_a, z_b, floor: float, message: str):
+    """Orient paired columns and rank them by the cosine of their images.
+
+    Takes the ``unit_images`` of ``z_a`` and ``z_b`` (n, r), raises
+    ``NumericalError(message)`` when an image norm is below ``floor``, flips
+    each b column (coefficients and image) whose cosine is negative, and
+    orders the pairs by ``|cosine|``, descending, ties in column order.
+    Returns ``(coef_a, coef_b, |cosines|, u_a, u_b, norm_a, norm_b)``, all so ordered.
+    """
+    u_a, u_b, cosines, norm_a, norm_b = unit_images(z_a, z_b)
+    if np.any(norm_a < floor) or np.any(norm_b < floor):
+        raise NumericalError(message)
+    flip, cosines = cosines < 0, np.abs(cosines)
+    coef_b, u_b = np.where(flip, -coef_b, coef_b), np.where(flip, -u_b, u_b)
+    order = np.argsort(-cosines, kind="stable")
+    return tuple(m[..., order] for m in (coef_a, coef_b, cosines, u_a, u_b, norm_a, norm_b))
 
 
 def pearson_columns(mat: np.ndarray, vec: np.ndarray, mat_name: str, vec_name: str) -> np.ndarray:
-    """Pearson correlation of every column of ``mat`` (n, k) with ``vec`` (n,).
+    """Pearson correlation of every column of ``mat`` (n, k) with ``vec`` (n,),
+    clipped to [-1, 1].
 
     A constant ``vec`` or column raises ``ValueError`` naming it by
     ``vec_name`` or ``mat_name``.
@@ -120,7 +142,7 @@ def pearson_columns(mat: np.ndarray, vec: np.ndarray, mat_name: str, vec_name: s
         raise ValueError(f"{vec_name} is constant; correlation undefined")
     if np.any(col_norms < 1e-300):
         raise ValueError(f"{mat_name} is constant; correlation undefined")
-    return (centered.T @ v) / (col_norms * v_norm)
+    return np.clip((centered.T @ v) / (col_norms * v_norm), -1.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -282,8 +282,7 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index) -> list[PrimalDualResul
         live = live[finite & ~converged[live]]
         if not live.size:
             break
-    *_, corr, norm_a, norm_b = unit_images(x_a @ w, k_b @ beta)
-    corr = np.where((norm_a > 0) & (norm_b > 0), corr, 0.0)
+    corr = unit_images(x_a @ w, k_b @ beta)[2]
     results = []
     for b in cols:
         w_b, beta_b = w[:, b].copy(), beta[:, b].copy()

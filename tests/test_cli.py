@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,13 @@ class TestFitCommand:
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "9",
                  "--out", tmp_path)
         assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_components_rejected(self, tmp_path, capsys):
+        rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "0",
+                 "--out", tmp_path)
+        assert rc == 2
+        assert "--components must lie in [1, 3], got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_solver_choice_echoed(self, tmp_path):
@@ -361,6 +369,38 @@ class TestPdsccaCommand:
         assert pinned["inner_sweep_cap_hits"] == rep["inner_sweep_cap_hits"]
 
 
+class TestReportedCorrelationsStayBounded:
+    """A view paired with itself gives cosines of 1 up to roundoff; none is
+    reported above 1."""
+
+    @staticmethod
+    def self_paired(tmp_path, seed: int) -> list:
+        data = generate_synthetic(get_recipe("example1", seed=seed))
+        path = tmp_path / f"view_a_{seed}.csv"
+        write_view_csv(path, data.view_a, data.names_a)
+        return ["--view-a", path, "--view-b", path, "--seed", seed]
+
+    def test_pmd_image_correlations(self, tmp_path):
+        for seed in range(8):
+            out = tmp_path / f"pmd{seed}"
+            assert run("pmd", *self.self_paired(tmp_path, seed), "--budget-a", "1",
+                       "--budget-b", "1", "--components", "3", "--out", out) == 0
+            assert max(np.abs(report_of(out)["image_correlations"])) <= 1.0
+
+    def test_held_out_test_correlations(self, tmp_path):
+        for seed in range(3):
+            out = tmp_path / f"fit{seed}"
+            assert run("fit", *self.self_paired(tmp_path, seed), "--test-split", "0.4",
+                       "--out", out) == 0
+            gen = report_of(out)["generalization"]["test_correlations"]
+            assert max(np.abs(gen)) <= 1.0
+
+    def test_pdscca_correlation(self, tmp_path):
+        assert run("pdscca", *self.self_paired(tmp_path, 2), "--kernel-b", "linear",
+                   "--mu", "0", "--gamma", "0", "--out", tmp_path) == 0
+        assert abs(report_of(tmp_path)["correlation"]) <= 1.0
+
+
 class TestTestAndBiplotCommands:
     def test_sequential_significance_command(self, tmp_path):
         rc = run("test", "--recipe", "example1", "--seed", "0", "--out", tmp_path)
@@ -505,6 +545,11 @@ class TestReproducibility:
         assert "elapsed" not in captured.out
         assert "report.json" in captured.out
         assert b"elapsed" not in (tmp_path / "report.json").read_bytes()
+
+    def test_elapsed_printed_to_the_microsecond(self, tmp_path, capsys):
+        assert run("test", "--recipe", "example1", "--seed", "0", "--out", tmp_path) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "elapsed" in line]
+        assert len(lines) == 1 and re.fullmatch(r"elapsed: \d+\.\d{6}s", lines[0])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,8 @@ from cancorr.numerics import (
     inv_sqrt_spd,
     lead_signs,
     partial_gram_schmidt,
+    pearson_columns,
+    ranked_pairs,
     svd,
     sym_eig,
     top_svd,
@@ -416,6 +418,7 @@ class TestHelpers:
             lead = m[np.argmax(np.abs(m), axis=0), np.arange(4)]
             assert np.array_equal(signs[idx], np.where(lead < 0, -1.0, 1.0))
             assert np.array_equal(fix_signs(m), m * signs[idx])
+        assert np.array_equal(fix_signs(stack), stack * signs[..., None, :])
         assert lead_signs(np.zeros((2, 0, 3))).tolist() == [[1.0] * 3] * 2
         assert fix_signs(np.zeros((0, 0))).shape == (0, 0)
 
@@ -425,14 +428,41 @@ class TestHelpers:
         z_b[1, 2, :, 1] = 0.0
         u_a, u_b, cos, norm_a, norm_b = unit_images(z_a, z_b)
         assert cos.shape == norm_a.shape == (2, 3, 2)
-        assert norm_b[1, 2, 1] == 0.0 and np.isnan(cos[1, 2, 1])
-        cos[1, 2, 1] = 0.0
+        assert norm_b[1, 2, 1] == 0.0 and cos[1, 2, 1] == 0.0
         for idx in np.ndindex(2, 3, 2):
             a, b = z_a[idx[:2]][:, idx[2]], z_b[idx[:2]][:, idx[2]]
             assert abs(norm_a[idx] - np.linalg.norm(a)) <= 1e-15 * norm_a[idx]
             if norm_b[idx] > 0:
                 assert np.allclose(u_b[idx[:2]][:, idx[2]], b / np.linalg.norm(b))
                 assert abs(cos[idx] - a @ b / (np.linalg.norm(a) * np.linalg.norm(b))) <= 1e-15
+
+    def test_ranked_pairs_orients_and_sorts(self):
+        rng = np.random.default_rng(2)
+        z_a = rng.standard_normal((8, 4))
+        z_a[:, 3] = z_a[:, 1]
+        z_b = np.column_stack([z_a[:, 0] + 3.0 * rng.standard_normal(8), -z_a[:, 1],
+                               z_a[:, 2] + rng.standard_normal(8), -z_a[:, 1]])
+        coef_a, coef_b = rng.standard_normal((2, 5, 4))
+        c_a, c_b, cos, u_a, u_b, n_a, n_b = ranked_pairs(coef_a, coef_b, z_a, z_b, 1e-300, "x")
+        raw = unit_images(z_a, z_b)[2]
+        order = np.argsort(-np.abs(raw), kind="stable")
+        assert order[:2].tolist() == [1, 3]  # a tie keeps column order
+        signs = np.where(raw < 0, -1.0, 1.0)[order]
+        assert np.array_equal(cos, np.abs(raw)[order])
+        assert np.array_equal(c_a, coef_a[:, order])
+        assert np.array_equal(c_b, coef_b[:, order] * signs)
+        assert np.allclose(np.einsum("ij,ij->j", u_a, u_b), cos)
+        assert np.array_equal(n_b, np.linalg.norm(z_b, axis=0)[order])
+        z_b[:, 2] = 0.0
+        with pytest.raises(NumericalError, match="collapsed"):
+            ranked_pairs(coef_a, coef_b, z_a, z_b, 1e-300, "collapsed")
+
+    def test_pearson_columns_of_scaled_copies_stay_in_range(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            v = rng.standard_normal(int(rng.integers(3, 40)))
+            r = pearson_columns(np.column_stack([v, 3.0 * v, -v]), v, "m", "v")
+            assert np.abs(r).max() <= 1.0 and np.allclose(r, [1.0, 1.0, -1.0])
 
     def test_well_conditioned_on_ascending_spectra(self):
         spectra = np.array([[1.0, 2.0], [1e-11, 1.0], [2e-10, 1.0], [-1.0, 1.0], [0.0, 0.0]])

@@ -1,9 +1,11 @@
 """Sparse weights: soft threshold, budgeted unit solve, penalised rank-1
 decomposition, and the primal-dual basis-matching variant."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cancorr import (
@@ -19,8 +21,11 @@ from cancorr import (
     scan_basis,
     soft_threshold,
     sparse_unit_solve,
+    standardize,
 )
 from cancorr.dataset import covariance_blocks
+from cancorr.kernel import center_gram, gram
+from cancorr.numerics import unit_images
 
 PLANTED_PAIRS = {(2, 0), (0, 1), (3, 2)}
 
@@ -408,3 +413,72 @@ class TestMatchesScalarAlternation:
         assert abs(best.correlation - correlation) <= 1e-12
         assert np.abs(best.w_a - w).max() <= 1e-12
         assert best.n_iterations == rounds
+
+
+def paired_views(seed: int, n: int, p: int, q: int, duplicate: bool) -> PairedDataset:
+    """Standardized random views; with ``duplicate`` view b is a copy of view a
+    (and has p columns)."""
+    rng = np.random.default_rng(seed)
+    view_a = rng.standard_normal((n, p))
+    view_b = view_a.copy() if duplicate else rng.standard_normal((n, q))
+    return standardize(PairedDataset(view_a, view_b))
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 30),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    duplicate=st.booleans(),
+    budgets=st.tuples(st.floats(1.0, 3.0), st.floats(1.0, 3.0)),
+    r=st.integers(1, 3),
+)
+@example(seed=0, n=20, dims=(3, 3), duplicate=True, budgets=(1.0, 1.0), r=3)
+def test_pmd_fits_keep_their_invariants(seed, n, dims, duplicate, budgets, r):
+    """Unit-norm weights within their 1-norm budgets, nonnegative scales, and
+    image cosines in [-1, 1], also for a view paired with itself."""
+    data = paired_views(seed, n, *dims, duplicate)
+    try:
+        res = fit_pmd(covariance_blocks(data).c_ab, *budgets, min(r, data.p, data.q))
+    except NumericalError:  # tied largest entries above the budget, or nothing left
+        return
+    for w, budget in zip((res.w_a, res.w_b), budgets):
+        assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-8
+        assert np.abs(w).sum(axis=0).max() <= budget + 1e-6
+    assert np.all(res.sigmas >= 0.0)
+    cosines = unit_images(data.view_a @ res.w_a, data.view_b @ res.w_b)[2]
+    assert np.all(np.abs(cosines) <= 1.0)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(4, 12),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    duplicate=st.booleans(),
+    gaussian=st.booleans(),
+    penalties=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.01, 1.0))] * 2),
+)
+@example(seed=0, n=9, dims=(5, 5), duplicate=True, gaussian=False, penalties=(0.0, 0.0))
+def test_primal_dual_fits_keep_their_invariants(seed, n, dims, duplicate, gaussian, penalties):
+    """The pinned dual entry is 1 and no entry exceeds it, the objective is finite,
+    nonnegative and never increases, the correlation lies in [-1, 1], and a fit is
+    degenerate exactly when its primal weights are zero.
+
+    Each invariant holds after every round, so the rounds are capped to keep
+    the slowly converging draws (zero or small penalties) short.
+    """
+    data = paired_views(seed, n, *dims, duplicate)
+    spec = KernelSpec("gaussian", median_heuristic(data.view_b)) if gaussian else KernelSpec("linear")
+    k_b = center_gram(gram(data.view_b, spec))
+    scale = float(np.abs(data.view_a.T @ k_b).max())
+    mu, gamma = (factor * scale for factor in penalties)
+    with mock.patch("cancorr.sparse.PD_MAX_OUTER", 8):
+        results = [scan_basis(data.view_a, k_b, mu, gamma),
+                   fit_primal_dual(data.view_a, k_b, mu, gamma, seed % n)]
+    for res in results:
+        assert res.beta[res.basis_index] == 1.0 and np.abs(res.beta).max() <= 1.0
+        history = res.objective_history
+        assert np.all(np.isfinite(history)) and np.all(history >= 0.0)
+        assert history[-1] == res.objective
+        assert np.all(np.diff(history) <= 1e-12 * history[0])
+        assert -1.0 <= res.correlation <= 1.0
+        assert res.degenerate == (not np.any(res.w_a))
