@@ -216,6 +216,8 @@ def run_primal_dual() -> None:
         nnz = int(np.count_nonzero(best.w_a))
         print(f"   best basis column {best.basis_index}: objective {best.objective:.4f}, "
               f"correlation {best.correlation:.3f}, {nnz}/{data.p} nonzero weights")
+        print(f"   {best.n_iterations} active-set steps, KKT violation "
+              f"{best.kkt_violation:.1e} ({'' if best.converged else 'not '}converged)")
 
 
 def main() -> None:

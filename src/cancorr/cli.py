@@ -422,7 +422,7 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
         "correlation": result.correlation,
         "degenerate": result.degenerate,
         "converged": result.converged,
-        "inner_sweep_cap_hits": result.inner_capped,
+        "kkt_violation": result.kkt_violation,
         "nonzeros_a": int(np.count_nonzero(result.w_a)),
         "files": {"weights_a": wa_path.name},
     }

@@ -15,10 +15,8 @@ PMD_MAX_BISECT = 100
 PMD_CONVERGENCE_TOL = 1e-6
 PMD_MAX_ITER = 500
 
-PD_TOL = 1e-8
-PD_MAX_OUTER = 1000
-PD_MAX_SWEEPS = 100
-PD_SWEEP_TOL = 1e-10
+PD_KKT_RTOL = 1e-12
+PD_MAX_STEPS = 2000
 
 
 def soft_threshold(a, c: float) -> np.ndarray:
@@ -174,8 +172,9 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
 
 @dataclass(frozen=True)
 class PrimalDualResult:
-    """Sparse primal weights matched to one kernel basis column.  ``inner_capped``
-    counts the inner lasso solves that stopped at ``PD_MAX_SWEEPS`` sweeps."""
+    """Sparse primal weights matched to one kernel basis column.  ``n_iterations``
+    counts active-set steps; ``kkt_violation`` is the largest KKT violation at
+    the returned point, and ``converged`` says it met the stopping rule."""
 
     w_a: np.ndarray
     beta: np.ndarray
@@ -186,59 +185,11 @@ class PrimalDualResult:
     converged: bool
     n_iterations: int
     objective_history: np.ndarray
-    inner_capped: int = 0
+    kkt_violation: float
 
 
-def _batched_lasso(design, response, penalty, coef, box=None, pinned=None) -> np.ndarray:
-    """Exact coordinate descent for ``||response - design @ coef||^2 + penalty ||coef||_1``,
-    one problem per column of ``coef`` (updated in place), all in lockstep.
-
-    With ``box`` set, each coordinate is additionally clipped to
-    ``[-box, box]`` (still the exact coordinate-wise minimiser of the convex
-    objective, so every update decreases it); problem ``b`` holds coordinate
-    ``pinned[b]`` fixed.  A problem leaves the live columns after a sweep that
-    moves no coordinate by more than ``PD_SWEEP_TOL``.  Returns the mask of
-    problems still moving after ``PD_MAX_SWEEPS`` sweeps.
-    """
-    col_sq = np.einsum("ij,ij->j", design, design)
-    steps = [(j, design[:, j].copy(), design[:, j, None], col_sq[j])
-             for j in np.flatnonzero(col_sq > 0)]
-    half = penalty / 2.0
-    live, c = np.arange(coef.shape[1]), coef.copy()
-    resid = response - design @ c
-    for _ in range(PD_MAX_SWEEPS):
-        start = c.copy()
-        for j, x, x_col, sq in steps:
-            c_j = c[j]
-            rho = x @ resid
-            rho += sq * c_j
-            # sign(rho) * max(|rho| - half, 0), bit for bit
-            new = rho - np.minimum(np.maximum(rho, -half), half)
-            new /= sq
-            if box is not None:
-                np.minimum(np.maximum(new, -box, out=new), box, out=new)
-            if pinned is not None:
-                np.copyto(new, c_j, where=pinned == j)
-            c_j -= new
-            resid += x_col * c_j
-            c_j[...] = new
-        # each coordinate moves once per sweep; fmax ignores NaN moves
-        moving = np.fmax.reduce(np.abs(c - start), axis=0, initial=0.0) > PD_SWEEP_TOL
-        if not moving.all():
-            coef[:, live] = c
-            live, c, resid = live[moving], c[:, moving], resid[:, moving]
-            pinned = None if pinned is None else pinned[moving]
-            if not live.size:
-                break
-    coef[:, live] = c
-    return np.isin(np.arange(coef.shape[1]), live)
-
-
-def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index) -> list[PrimalDualResult]:
-    """Run the primal-dual alternation in lockstep for one basis column, or for
-    all of them when ``basis_index`` is None.  A problem leaves the outer rounds
-    once its objective decreases by at most ``PD_TOL`` or stops being finite, and
-    takes no further arithmetic, so it keeps its one-column iterates up to rounding."""
+def _stacked_problem(x_a, k_b, mu, gamma):
+    """Checked inputs, ``design = [x_a, -k_b]``, its Gram and the column penalties."""
     x_a = as_checked_array(x_a, "view a")
     k_b = as_checked_array(k_b, "kernel matrix")
     if x_a.ndim != 2 or k_b.ndim != 2 or k_b.shape[0] != k_b.shape[1]:
@@ -248,66 +199,113 @@ def _primal_dual_batch(x_a, k_b, mu, gamma, basis_index) -> list[PrimalDualResul
         raise ValueError(f"row counts differ: view a has {n}, kernel matrix has {k_b.shape[0]}")
     if mu < 0 or gamma < 0:
         raise ValueError(f"penalties must be nonnegative, got mu={mu}, gamma={gamma}")
-    if basis_index is not None and not 0 <= basis_index < n:
-        raise ValueError(f"basis_index must lie in [0, {n}), got {basis_index}")
-    basis = np.arange(n) if basis_index is None else np.array([basis_index])
-    cols = np.arange(basis.size)
-    w, beta = np.zeros((p, basis.size)), np.zeros((n, basis.size))
-    beta[basis, cols] = 1.0
-    free = beta == 0.0
+    design = np.hstack([x_a, -k_b])
+    return x_a, k_b, design, design.T @ design, np.repeat([float(mu), float(gamma)], [p, n])
 
-    def objective(live):
-        fit = x_a @ w[:, live] - k_b @ beta[:, live]
-        return (np.einsum("ij,ij->j", fit, fit) + mu * np.abs(w[:, live]).sum(axis=0)
-                + gamma * np.abs(np.where(free[:, live], beta[:, live], 0.0)).sum(axis=0))
 
-    last = objective(cols)
-    histories = [[float(f)] for f in last]
-    converged = np.zeros(basis.size, dtype=bool)
-    rounds, capped = np.zeros(basis.size, dtype=int), np.zeros(basis.size, dtype=int)
-    live = cols
-    for outer in range(1, PD_MAX_OUTER + 1):
-        w_live, beta_live = w[:, live], beta[:, live]
-        capped[live] += _batched_lasso(x_a, k_b @ beta_live, mu, w_live)
-        capped[live] += _batched_lasso(k_b, x_a @ w_live, gamma, beta_live,
-                                       box=1.0, pinned=basis[live])
-        w[:, live], beta[:, live] = w_live, beta_live
-        f = objective(live)
-        for b, f_b in zip(live, f):
-            histories[b].append(float(f_b))
-        rounds[live] = outer
-        finite = np.isfinite(f)
-        converged[live] = finite & (last[live] - f <= PD_TOL)
-        last[live] = f
-        live = live[finite & ~converged[live]]
-        if not live.size:
+def _fit_basis(x_a, k_b, design, gram, penalty, basis_index) -> PrimalDualResult:
+    """Active-set solve for one basis column: the fit is ``design @ z`` with
+    ``z = (w, beta)`` and the pinned entry held at 1.  ``free`` lists the
+    nonzero entries that move on their sign, ``at_box`` marks dual entries held
+    at ``sign = +-1``, and the rest are 0.  While a free stationarity condition
+    is violated, a step follows the Newton direction of the sign-fixed problem
+    on ``free``; otherwise the worst violator enters along the direction that
+    keeps the free conditions, which needs only the free block of ``gram`` to
+    be nonsingular.  Each step stops at its line minimum or at the first zero
+    crossing or box hit, so the objective never increases.
+    """
+    p, dim = x_a.shape[1], design.shape[1]
+    pin = p + basis_index
+    lam = penalty.copy()
+    lam[pin] = 0.0
+    z, sign, free, at_box = np.zeros(dim), np.zeros(dim), [], np.zeros(dim, dtype=bool)
+    z[pin] = 1.0
+    tol = PD_KKT_RTOL * max(1.0, float(np.abs(np.delete(gram[:, pin], pin)).max()))
+
+    def evaluate():
+        fit = design @ z
+        grad = 2.0 * (design.T @ fit)
+        viol = np.abs(grad) - lam
+        viol[free] = np.abs(grad[free] + lam[free] * sign[free])
+        viol[at_box] = grad[at_box] * sign[at_box] + lam[at_box]
+        viol[pin] = -np.inf
+        return float(fit @ fit + lam @ np.abs(z)), grad, viol
+
+    objective, grad, viol = evaluate()
+    history = [objective]
+    while np.isfinite(objective) and len(history) <= PD_MAX_STEPS:
+        enter = int(np.argmax(viol))
+        if viol[enter] <= tol:
             break
-    corr = unit_images(x_a @ w, k_b @ beta)[2]
-    results = []
-    for b in cols:
-        w_b, beta_b = w[:, b].copy(), beta[:, b].copy()
-        results.append(PrimalDualResult(
-            w_a=w_b, beta=beta_b, objective=histories[b][-1], correlation=float(corr[b]),
-            basis_index=int(basis[b]), degenerate=not np.any(w_b),
-            converged=bool(converged[b]), n_iterations=int(rounds[b]),
-            objective_history=np.asarray(histories[b]), inner_capped=int(capped[b]),
-        ))
-    return results
+        idx = np.array(free, dtype=int)
+        if free and viol[idx].max() > tol:
+            enter, sub = None, gram[idx[:, None], idx]
+            step = np.linalg.solve(sub, -0.5 * (grad[idx] + lam[idx] * sign[idx]))
+        else:
+            if at_box[enter]:
+                at_box[enter], direction = False, -sign[enter]
+            else:
+                direction = sign[enter] = -np.sign(grad[enter])
+            idx = np.append(idx, enter)
+            sub = gram[idx[:, None], idx]
+            step = np.append(-direction * np.linalg.solve(sub[:-1, :-1], sub[:-1, -1]), direction)
+        slope = float((grad[idx] + lam[idx] * sign[idx]) @ step)
+        curvature = float(step @ sub @ step)
+        if not slope < 0.0:
+            break  # no descent direction left at this precision: stop unconverged
+        length = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        z_idx = z[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limits = np.concatenate([
+                np.where(z_idx * step < 0.0, -z_idx / step, np.inf),
+                np.where((idx >= p) & (z_idx * step >= 0.0) & (step != 0.0),
+                         (1.0 - np.abs(z_idx)) / np.abs(step), np.inf),
+            ])
+        blocked = int(np.argmin(limits))
+        length = min(length, float(limits[blocked]))
+        if not np.isfinite(length):
+            break
+        z[idx] += length * step
+        if enter is not None:
+            free.append(enter)
+        if length == limits[blocked]:
+            k = int(idx[blocked % idx.size])
+            free.remove(k)
+            z[k] = 0.0 if blocked < idx.size else sign[k]
+            at_box[k] = blocked >= idx.size
+        objective, grad, viol = evaluate()
+        history.append(objective)
+    violation = max(float(viol.max()), 0.0)
+    w, beta = z[:p].copy(), z[p:].copy()
+    (correlation,) = unit_images(x_a @ w[:, None], k_b @ beta[:, None])[2]
+    return PrimalDualResult(
+        w_a=w, beta=beta, objective=objective, correlation=float(correlation),
+        basis_index=int(basis_index), degenerate=not np.any(w),
+        converged=bool(violation <= tol), n_iterations=len(history) - 1,
+        objective_history=np.asarray(history), kkt_violation=violation,
+    )
 
 
 def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int) -> PrimalDualResult:
     """Match sparse primal weights against one kernel basis column.
 
     Minimises ``||X_a w - K_b beta||^2 + mu ||w||_1 + gamma ||beta_rest||_1``
-    where ``beta[basis_index]`` is pinned to 1 and the remaining dual entries
-    are box-limited to [-1, 1] so the sup norm is attained at the pinned
-    entry.  Alternates exact coordinate descent on ``w`` and on the free dual
-    entries; the objective is monotone non-increasing and iteration stops
-    when it decreases by at most ``PD_TOL`` (or after ``PD_MAX_OUTER`` rounds).
-    This is the one-column run of the batched core behind ``scan_basis``.
-    Raises ``NumericalError`` when the objective is not finite.
+    with ``beta[basis_index]`` pinned to 1 and the other dual entries held in
+    [-1, 1], so the sup norm is attained at the pinned entry.  That is one
+    box-constrained lasso in ``(w, beta_rest)``, solved exactly by an
+    active-set method (Osborne, Presnell & Turlach 2000) whose steps never
+    raise the objective.  With ``g`` the gradient of the squared fit and
+    ``c = [X_a, -K_b].T K_b[:, basis_index]`` off the pinned entry, it stops
+    once every KKT violation (``|g_i| - pen_i`` off the support, ``|g_i +
+    pen_i sign_i|`` on it, ``g_i sign_i + pen_i`` at the box) is at most
+    ``PD_KKT_RTOL * max(1, max|c|)``, or with ``converged=False`` after
+    ``PD_MAX_STEPS`` steps.  Raises ``NumericalError`` when the objective is
+    not finite.
     """
-    (result,) = _primal_dual_batch(x_a, k_b, mu, gamma, basis_index)
+    x_a, k_b, design, gram, penalty = _stacked_problem(x_a, k_b, mu, gamma)
+    if not 0 <= basis_index < k_b.shape[0]:
+        raise ValueError(f"basis_index must lie in [0, {k_b.shape[0]}), got {basis_index}")
+    result = _fit_basis(x_a, k_b, design, gram, penalty, basis_index)
     if not np.isfinite(result.objective):
         raise NumericalError(f"objective for basis {basis_index} is not finite: {result.objective}")
     return result
@@ -316,12 +314,14 @@ def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int) -> Prim
 def scan_basis(x_a, k_b, mu: float, gamma: float) -> PrimalDualResult:
     """Fit every kernel basis column and keep the lowest-objective solution.
 
-    The n problems of ``fit_primal_dual`` run in lockstep, vectorised across
-    basis columns, each with its one-column iterates up to rounding.  A column
-    whose objective is not finite counts as failed; ties in the objective go
-    to the smaller basis index.  Raises ``NumericalError`` if every column fails.
+    Every column runs the solve of ``fit_primal_dual`` on one shared Gram
+    matrix of ``[X_a, -K_b]``, so the winner is bit-equal to the pinned fit of
+    its column.  A column whose objective is not finite counts as failed; ties
+    in the objective go to the smaller basis index.  Raises ``NumericalError``
+    if every column fails.
     """
-    results = _primal_dual_batch(x_a, k_b, mu, gamma, None)
+    x_a, k_b, design, gram, penalty = _stacked_problem(x_a, k_b, mu, gamma)
+    results = [_fit_basis(x_a, k_b, design, gram, penalty, j) for j in range(k_b.shape[0])]
     finite = [res for res in results if np.isfinite(res.objective)]
     if not finite:
         raise NumericalError("every basis column failed to fit: no objective is finite")

@@ -1,6 +1,7 @@
 """The reproduce script runs end to end on one seed per section."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,11 @@ def test_section_runs_and_reports(script, capsys, name):
     out = capsys.readouterr().out
     assert out.startswith("\n== ")
     assert fragment in out
+
+
+def test_primal_dual_section_prints_its_certificate(script, capsys):
+    script.run_primal_dual()
+    match = re.search(r"(\d+) active-set steps, KKT violation (\S+) \(converged\)",
+                      capsys.readouterr().out)
+    assert match is not None
+    assert 0 < int(match[1]) and float(match[2]) <= 1e-9
