@@ -189,10 +189,12 @@ def run_reduced_kernel(seeds: int) -> None:
 
 def run_sparse(seeds: int) -> None:
     with Section("sparse rank-1 decomposition on the wide sparse recipe (example9)"):
-        hits = 0
+        hits, budget_gap = 0, 0.0
         for s in range(seeds):
             data = standardize(generate_synthetic(get_recipe("example9", seed=s)))
             result = fit_pmd(covariance_blocks(data).c_ab, 1.2, 1.2, 3)
+            for w in (result.w_a, result.w_b):
+                budget_gap = max(budget_gap, float(np.abs(np.abs(w).sum(axis=0) - 1.2).max()))
             pairs = {
                 (int(np.abs(result.w_a[:, j]).argmax()),
                  int(np.abs(result.w_b[:, j]).argmax()))
@@ -202,6 +204,7 @@ def run_sparse(seeds: int) -> None:
             hits += pairs == {(2, 0), (0, 1), (3, 2)} and corrs.min() >= 0.85
         print(f"   planted variable pairs recovered with correlations >= 0.85: "
               f"{hits}/{seeds} seeds")
+        print(f"   worst |1-norm - budget| over the weights: {budget_gap:.1e}")
 
 
 def run_primal_dual() -> None:

@@ -401,12 +401,9 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     k_b = center_gram(gram(data_std.view_b, spec_b))
     x_a = data_std.view_a
-    if args.mu is None or args.gamma is None:
-        default_pen = 0.1 * float(np.abs(x_a.T @ k_b).max())
-        mu = default_pen if args.mu is None else args.mu
-        gamma = default_pen if args.gamma is None else args.gamma
-    else:
-        mu, gamma = args.mu, args.gamma
+    default_pen = 0.1 * float(np.abs(x_a.T @ k_b).max())
+    mu = default_pen if args.mu is None else args.mu
+    gamma = default_pen if args.gamma is None else args.gamma
     if args.basis is not None:
         result = fit_primal_dual(x_a, k_b, mu, gamma, args.basis)
     else:

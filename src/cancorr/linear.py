@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
-    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, lead_signs, ranked_pairs, unit_images,
+    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, ranked_pairs, unit_images,
     well_conditioned,
 )
 
@@ -107,13 +107,12 @@ class _SpectralCore:
         """Top ``r`` weight pairs for every cell of the ridge grid ``c1_grid x c2_grid``.
 
         Builds the (G1, G2, p, q) stack of whitened cross blocks, takes one
-        stacked SVD, signs each ``u`` column (and its ``v``) by ``lead_signs``
-        and maps the leading ``r`` columns back.  Returns ``(w_a, w_b, s, ok)``:
-        weights of shape (G1, G2, p, r) and (G1, G2, q, r), the singular
-        values (G1, G2, min(p, q)), and the (G1, G2) mask of cells whose
-        ridged blocks pass the ``COND_LIMIT`` test and whose leading singular
-        value is at most ``1 + CLIP_TOL``.  Cells outside the mask hold finite
-        values of no meaning.
+        stacked SVD and maps the leading ``r`` columns back.  Returns
+        ``(w_a, w_b, s, ok)``: weights of shape (G1, G2, p, r) and
+        (G1, G2, q, r), the singular values (G1, G2, min(p, q)), and the
+        (G1, G2) mask of cells whose ridged blocks pass the ``COND_LIMIT``
+        test and whose leading singular value is at most ``1 + CLIP_TOL``.
+        Cells outside the mask hold finite values of no meaning.
         """
         ridged_a = self.values_a + np.asarray(c1_grid, dtype=float)[:, None]
         ridged_b = self.values_b + np.asarray(c2_grid, dtype=float)[:, None]
@@ -125,11 +124,8 @@ class _SpectralCore:
             scale_a[:, None, :, None] * self.cross * scale_b[None, :, None, :],
             full_matrices=False,
         )
-        signs = lead_signs(u[..., :r])[..., None, :]
-        w_a = self.vectors_a @ (scale_a[:, None, :, None] * (u[..., :r] * signs))
-        w_b = self.vectors_b @ (
-            scale_b[None, :, :, None] * (vh[..., :r, :].swapaxes(-1, -2) * signs)
-        )
+        w_a = self.vectors_a @ (scale_a[:, None, :, None] * u[..., :r])
+        w_b = self.vectors_b @ (scale_b[None, :, :, None] * vh[..., :r, :].swapaxes(-1, -2))
         ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
         return w_a, w_b, s, ok
 

@@ -10,7 +10,7 @@ from .dataset import (
     PairedDataset, covariance_blocks, split_folds, standardize, take_rows, write_csv_rows
 )
 from .linear import CcaModel, _finalize, _resolve_r, _SpectralCore
-from .numerics import NumericalError, fix_signs, unit_images
+from .numerics import NumericalError, unit_images
 
 
 def default_grid() -> np.ndarray:
@@ -97,8 +97,8 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
     the first canonical component is fitted on the train folds and scored by
     the cosine of the held-out images.  Each training fold's whole grid is
     solved at once by the stacked spectral solve that :func:`fit_regularized`
-    runs as a 1 x 1 grid; ``w_a`` is signed as the fit signs it, and the
-    held-out cosine takes the sign that orients the training images.
+    runs as a 1 x 1 grid, and the held-out cosine takes the sign that
+    orients the training images.
 
     A cell fails on a fold when a ridged block is outside ``COND_LIMIT``, its
     leading singular value exceeds ``1 + CLIP_TOL``, or a training or
@@ -123,7 +123,6 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
             test = standardize(take_rows(data, folds.test_indices(f)))
             core = _SpectralCore(covariance_blocks(train))
             w_a, w_b, _, ok = core.solve(config.c1_grid, config.c2_grid, 1)
-            w_a = fix_signs(w_a)
             *_, fit_corr, fit_a, fit_b = unit_images(train.view_a @ w_a, train.view_b @ w_b)
             *_, test_corr, test_a, test_b = unit_images(test.view_a @ w_a, test.view_b @ w_b)
             norms = np.concatenate([fit_a, fit_b, test_a, test_b], axis=-1)

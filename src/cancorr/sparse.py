@@ -10,8 +10,6 @@ import numpy as np
 
 from .numerics import NumericalError, as_checked_array, unit_images
 
-PMD_L1_TOL = 1e-6
-PMD_MAX_BISECT = 100
 PMD_CONVERGENCE_TOL = 1e-6
 PMD_MAX_ITER = 500
 
@@ -30,12 +28,13 @@ def soft_threshold(a, c: float) -> np.ndarray:
 def sparse_unit_solve(a, budget: float) -> np.ndarray:
     """Maximise ``u . a`` subject to ``||u||_2 <= 1`` and ``||u||_1 <= budget``.
 
-    The solution is ``soft_threshold(a, delta)`` rescaled to unit 2-norm,
-    with ``delta = 0`` when the plain unit vector already satisfies the
-    1-norm budget and otherwise found by bisection on
-    ``delta in [0, max|a|]`` until the 1-norm matches the budget within 1e-6.
+    The solution is ``soft_threshold(a, delta)`` rescaled to unit 2-norm, with
+    ``delta = 0`` when the plain unit vector already satisfies the 1-norm budget
+    and otherwise the exact threshold that meets it: if ``delta`` keeps the
+    ``k`` largest magnitudes, with mean ``mean`` and sum of squared deviations
+    ``V``, then ``delta = mean - budget * sqrt(V / (k (k - budget^2)))``.
     Budgets below 1 are infeasible (a unit 2-norm vector has 1-norm >= 1).
-    ``k`` entries tied for the largest magnitude hold the 1-norm at ``sqrt(k)``
+    ``t`` entries tied for the largest magnitude hold the 1-norm at ``sqrt(t)``
     or more; a budget below that raises ``NumericalError``.
     """
     a = np.asarray(a, dtype=float).ravel()
@@ -47,26 +46,29 @@ def sparse_unit_solve(a, budget: float) -> np.ndarray:
     u = a / norm
     if np.abs(u).sum() <= budget:
         return u
-    lo, hi = 0.0, float(np.abs(a).max())
-    for _ in range(PMD_MAX_BISECT):
-        mid = (lo + hi) / 2.0
-        s = soft_threshold(a, mid)
-        s_norm = np.linalg.norm(s)
-        if s_norm == 0:
-            hi = mid
-            continue
-        u = s / s_norm
-        l1 = float(np.abs(u).sum())
-        if abs(l1 - budget) <= PMD_L1_TOL:
-            return u
-        if l1 > budget:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError(
-        f"no soft threshold meets the 1-norm budget {budget:g}: bisection stopped at "
-        f"1-norm {l1:.6g}; tied largest-magnitude entries keep it above the budget"
-    )
+    m = np.sort(np.abs(a))[::-1]
+    ties = int(np.count_nonzero(m == m[0]))
+    if np.sqrt(ties) > budget:
+        raise NumericalError(
+            f"no soft threshold meets the 1-norm budget {budget:g}: {ties} entries tie for the "
+            f"largest magnitude, so every unit vector left has 1-norm {np.sqrt(ties):.6g} or more"
+        )
+    # delta in [lower[j], m[j]) keeps the j + 1 largest magnitudes, and the ratio
+    # 1-norm / 2-norm falls as delta grows: the first segment whose lower end
+    # reaches the budget holds delta (delta = 0 does; the ties' ratio is sqrt(ties))
+    lower, k, s1 = np.append(m[1:], 0.0), np.arange(1.0, m.size + 1.0), np.cumsum(m)
+    l1 = s1 - k * lower
+    reach = l1 * l1 >= budget**2 * (np.cumsum(m * m) - 2.0 * s1 * lower + k * lower**2)
+    reach[-1] = True
+    reach[ties - 1] = np.sqrt(ties) == budget
+    j = ties - 1 + int(np.argmax(reach[ties - 1:]))
+    delta = lower[j]
+    if j >= ties and k[j] > budget**2:  # off the flat segment of the ties
+        top = m[: j + 1]
+        spread = float(((top - top.mean()) ** 2).sum())
+        delta = max(delta, top.mean() - budget * np.sqrt(spread / (k[j] * (k[j] - budget**2))))
+    s = soft_threshold(a, delta)
+    return s / np.linalg.norm(s)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
     """Penalised rank-1 decomposition of a cross-covariance matrix.
 
     Each rank alternates ``w_a = sparse_unit_solve(C w_b, budget_a)`` and
-    ``w_b = sparse_unit_solve(C.T w_a, budget_b)``, stops when the max-abs
+    ``w_b = sparse_unit_solve(C.T w_a, budget_b)``, each an exact maximiser,
+    so the objective ``w_a.T C w_b`` never falls; it stops when the max-abs
     change of both weights drops to 1e-6 (or after 500 alternations), records
     the scale ``sigma = w_a.T C w_b``, and deflates
     ``C <- C - sigma w_a w_b.T``.

@@ -44,3 +44,10 @@ def test_primal_dual_section_prints_its_certificate(script, capsys):
                       capsys.readouterr().out)
     assert match is not None
     assert 0 < int(match[1]) and float(match[2]) <= 1e-9
+
+
+def test_sparse_section_prints_its_budget_gap(script, capsys):
+    script.run_sparse(1)
+    match = re.search(r"worst \|1-norm - budget\| over the weights: (\S+)", capsys.readouterr().out)
+    assert match is not None
+    assert float(match[1]) <= 1e-12

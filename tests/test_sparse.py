@@ -64,7 +64,7 @@ class TestSoftThreshold:
 
 
 def grid_oracle(a: np.ndarray, budget: float) -> np.ndarray:
-    """Dense search over the threshold delta; reference for the bisection."""
+    """Dense search over the threshold delta; reference for the exact solve."""
     best, best_gap = None, np.inf
     for delta in np.arange(0.0, np.abs(a).max(), 1e-4):
         s = soft_threshold(a, delta)
@@ -76,6 +76,41 @@ def grid_oracle(a: np.ndarray, budget: float) -> np.ndarray:
         if l1 <= budget + 1e-12 and budget - l1 < best_gap:
             best, best_gap = u, budget - l1
     return best
+
+
+def bisection_unit_solve(a: np.ndarray, budget: float) -> np.ndarray:
+    """The former solve, kept as the reference: bisect on the threshold in
+    [0, max|a|] for at most 100 halvings, until the 1-norm is within 1e-6 of
+    the budget."""
+    a = np.asarray(a, dtype=float).ravel()
+    u = a / np.linalg.norm(a)
+    if np.abs(u).sum() <= budget:
+        return u
+    lo, hi = 0.0, float(np.abs(a).max())
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        s = soft_threshold(a, mid)
+        s_norm = np.linalg.norm(s)
+        if s_norm == 0:
+            hi = mid
+            continue
+        u = s / s_norm
+        l1 = float(np.abs(u).sum())
+        if abs(l1 - budget) <= 1e-6:
+            return u
+        if l1 > budget:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericalError(f"bisection stopped at 1-norm {l1:.6g} above the budget {budget:g}")
+
+
+def unit_solve_draw(seed: int):
+    """A random coefficient vector of dimension 2-24 and a budget in [1, sqrt(dim)]."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 25))
+    a = rng.standard_normal(dim)
+    return rng, a, float(rng.uniform(1.0, np.sqrt(dim)))
 
 
 class TestSparseUnitSolve:
@@ -106,19 +141,55 @@ class TestSparseUnitSolve:
         with pytest.raises(NumericalError, match=r"budget 1\.2: .* 1-norm 1\.41421"):
             sparse_unit_solve(np.array([1.0, 1.0, 0.5]), 1.2)
         u = sparse_unit_solve(np.array([1.0, 1.0, 0.5]), 1.5)
-        assert abs(np.abs(u).sum() - 1.5) <= 1e-6
+        assert abs(np.abs(u).sum() - 1.5) <= 1e-12 * 1.5
+
+    def test_budget_at_the_tie_floor_keeps_the_tied_entries(self):
+        # budget sqrt(t) is met exactly by the t tied entries alone; one step
+        # below it nothing is
+        for t in range(2, 7):
+            a = np.concatenate([np.tile([1.0, -1.0], t)[:t], [0.5, -0.25]])
+            u = sparse_unit_solve(a, np.sqrt(t))
+            assert np.array_equal(u != 0, np.abs(a) == 1.0)
+            assert np.abs(u[:t] - a[:t] / np.sqrt(t)).max() <= 1e-15
+            assert abs(np.abs(u).sum() - np.sqrt(t)) <= 1e-12 * np.sqrt(t)
+            with pytest.raises(NumericalError, match=f"{t} entries tie"):
+                sparse_unit_solve(a, np.nextafter(np.sqrt(t), 0.0))
+
+    def test_budgets_at_a_segment_end_to_roundoff(self):
+        # a budget one step below the plain unit vector's 1-norm puts the
+        # threshold at 0 up to roundoff, and a near tie at budget sqrt(2)
+        # leaves the segment ratio within roundoff of the budget
+        for seed in range(200):
+            a = np.random.default_rng(seed).standard_normal(5)
+            budget = np.nextafter(np.abs(a).sum() / np.linalg.norm(a), 0.0)
+            u = sparse_unit_solve(a, budget)
+            assert np.abs(u - a / np.linalg.norm(a)).max() <= 1e-12
+            assert abs(np.abs(u).sum() - budget) <= 1e-12 * budget
+        u = sparse_unit_solve(np.array([1.0, 1.0 - 2.0**-53, 0.5]), np.sqrt(2.0))
+        assert np.abs(u - np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)).max() <= 1e-15
+
+    def test_binding_budget_is_met_to_roundoff(self):
+        for seed in range(501):
+            _, a, budget = unit_solve_draw(seed)
+            if np.abs(a).sum() > budget * np.linalg.norm(a):
+                u = sparse_unit_solve(a, budget)
+                assert abs(np.abs(u).sum() - budget) <= 1e-12 * budget
 
     @given(st.integers(0, 500))
     def test_constraints_and_scale_covariance(self, seed):
-        rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 25))
-        a = rng.standard_normal(dim)
-        budget = float(rng.uniform(1.0, np.sqrt(dim)))
+        rng, a, budget = unit_solve_draw(seed)
         u = sparse_unit_solve(a, budget)
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
-        assert np.abs(u).sum() <= budget + 1e-6
+        assert np.abs(u).sum() <= budget * (1 + 1e-12)
         scaled = sparse_unit_solve(rng.uniform(0.5, 10.0) * a, budget)
         assert np.abs(u - scaled).max() <= 1e-9
+
+    @given(st.integers(0, 500))
+    def test_matches_the_bisection_reference(self, seed):
+        _, a, budget = unit_solve_draw(seed)
+        u, ref = sparse_unit_solve(a, budget), bisection_unit_solve(a, budget)
+        assert np.array_equal(u != 0, ref != 0)
+        assert np.abs(u - ref).max() <= 1e-5
 
 
 class TestFitPmd:
@@ -159,7 +230,7 @@ class TestFitPmd:
         for w, budget in ((res.w_a, 1.3), (res.w_b, 1.6)):
             norms = np.linalg.norm(w, axis=0)
             assert np.abs(norms - 1.0).max() <= 1e-8
-            assert np.abs(w).sum(axis=0).max() <= budget + 1e-6
+            assert np.abs(w).sum(axis=0).max() <= budget * (1 + 1e-12)
         assert np.all(res.sigmas >= 0.0)
 
     def test_deflation_shrinks_residual(self):
@@ -174,11 +245,11 @@ class TestFitPmd:
         assert all(b <= a + 1e-8 for a, b in zip(norms, norms[1:]))
 
     def test_objective_history_non_decreasing(self):
-        # monotone up to the 1e-6 bisection slack in each alternation step
+        # each half-step is an exact maximiser: monotone up to roundoff
         data = generate_synthetic(get_recipe("example9", seed=2))
         res = fit_pmd(covariance_blocks(data).c_ab, 1.2, 1.2, 2)
         for history in res.objective_histories:
-            assert np.all(np.diff(history) >= -1e-5)
+            assert np.all(np.diff(history) >= -1e-12)
 
     def test_residual_exhaustion_truncates_ranks(self):
         c = np.zeros((3, 3))
@@ -492,7 +563,7 @@ def test_pmd_fits_keep_their_invariants(seed, n, dims, duplicate, budgets, r):
         return
     for w, budget in zip((res.w_a, res.w_b), budgets):
         assert np.abs(np.linalg.norm(w, axis=0) - 1.0).max() <= 1e-8
-        assert np.abs(w).sum(axis=0).max() <= budget + 1e-6
+        assert np.abs(w).sum(axis=0).max() <= budget * (1 + 1e-12)
     assert np.all(res.sigmas >= 0.0)
     cosines = unit_images(data.view_a @ res.w_a, data.view_b @ res.w_b)[2]
     assert np.all(np.abs(cosines) <= 1.0)
