@@ -21,6 +21,7 @@ from cancorr import (
     PairedDataset,
     RegularizationConfig,
     build_gram_pair,
+    center_gram,
     chi2_quantile,
     covariance_blocks,
     cross_validate,
@@ -31,6 +32,7 @@ from cancorr import (
     fit_svd,
     generate_synthetic,
     get_recipe,
+    gram,
     image_relation_table,
     median_heuristic,
     project,
@@ -210,12 +212,9 @@ def run_sparse(seeds: int) -> None:
 def run_primal_dual() -> None:
     with Section("primal-dual sparse fit on the unstructured recipe (example10)"):
         data = generate_synthetic(get_recipe("example10", seed=0))
-        pair = build_gram_pair(
-            data, KernelSpec("linear"),
-            KernelSpec("gaussian", median_heuristic(data.view_b)),
-        )
-        penalty = 0.45 * float(np.abs(data.view_a.T @ pair.k_b).max())
-        best = scan_basis(data.view_a, pair.k_b, penalty, penalty)
+        k_b = center_gram(gram(data.view_b, KernelSpec("gaussian", median_heuristic(data.view_b))))
+        penalty = 0.45 * float(np.abs(data.view_a.T @ k_b).max())
+        best = scan_basis(data.view_a, k_b, penalty, penalty)
         nnz = int(np.count_nonzero(best.w_a))
         print(f"   best basis column {best.basis_index}: objective {best.objective:.4f}, "
               f"correlation {best.correlation:.3f}, {nnz}/{data.p} nonzero weights")

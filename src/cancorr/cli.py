@@ -84,18 +84,15 @@ class OutputTracker:
                 pass
 
 
-def _jsonify(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+def _json_default(value):
+    """``json.dump`` hook for the values reports hold beyond JSON's own types."""
     if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.tolist()
+    if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, Path):
         return str(value)
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -233,8 +230,7 @@ def _write_sparse_weights_csv(path: Path, names, weights: np.ndarray) -> None:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    return {k: _jsonify(v) for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[KernelSpec, float | None]:
@@ -326,10 +322,16 @@ def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
 
 def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     from .kernel import (
-        build_gram_pair, fit_kernel_cca, fit_kernel_cca_pgso, image_relation_table,
+        _check_direct, _check_pgso, build_gram_pair, fit_kernel_cca, fit_kernel_cca_pgso,
+        image_relation_table,
     )
 
     data_std, recipe, _ = _prepare(args, seed)
+    # reject the fit's arguments before the widths and Grams are computed
+    if args.pgso:
+        _check_pgso(args.kappa, args.components)
+    else:
+        _check_direct(data_std.n, args.c1, args.c2, args.components)
     spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     grams = build_gram_pair(data_std, spec_a, spec_b)
@@ -420,6 +422,7 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
         "degenerate": result.degenerate,
         "converged": result.converged,
         "kkt_violation": result.kkt_violation,
+        "n_iterations": result.n_iterations,
         "nonzeros_a": int(np.count_nonzero(result.w_a)),
         "files": {"weights_a": wa_path.name},
     }
@@ -615,7 +618,7 @@ def _write_report(path: Path, report: dict, tracker: OutputTracker) -> None:
     ``path``, so a failed write never leaves a partial report."""
     tmp = tracker.path(f".{path.name}.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     os.replace(tmp, path)
 

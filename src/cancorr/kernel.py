@@ -13,7 +13,7 @@ from scipy.spatial.distance import pdist, squareform
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
     COND_LIMIT, SYM_BLOCK, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
-    pearson_columns, ranked_pairs, top_svd, well_conditioned,
+    pearson_columns, ranked_pairs, residual_diagonal, top_svd, well_conditioned,
 )
 
 # The direct fit inverts two ridged n x n Grams and takes the top singular
@@ -82,7 +82,7 @@ def center_gram(k) -> np.ndarray:
 
 
 def _center_in_place(k: np.ndarray) -> np.ndarray:
-    """Center a checked symmetric Gram matrix in place as ``K - (m_i + m_j) + grand``.
+    """Center a symmetric Gram matrix in place as ``K - (m_i + m_j) + grand``.
 
     ``m`` holds the row means and ``grand`` their mean.  The sum ``m_i + m_j``
     is formed before it is subtracted, so an exactly symmetric input stays
@@ -100,7 +100,7 @@ def _center_in_place(k: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramPair:
-    """Centered Gram matrices of the two views with the specs that built them."""
+    """Centered Gram matrices of the two views, checked by ``check_symmetric``, and their specs."""
 
     k_a: np.ndarray
     k_b: np.ndarray
@@ -108,12 +108,11 @@ class GramPair:
     spec_b: KernelSpec
 
     def __post_init__(self):
-        ka = np.asarray(self.k_a, dtype=float)
-        kb = np.asarray(self.k_b, dtype=float)
-        if ka.shape != kb.shape or ka.ndim != 2 or ka.shape[0] != ka.shape[1]:
-            raise ValueError(
-                f"gram matrices must be square with equal shapes, got {ka.shape} and {kb.shape}"
-            )
+        ka = check_symmetric(self.k_a, name="gram matrix")
+        kb = check_symmetric(self.k_b, name="gram matrix")
+        if ka.shape != kb.shape:
+            raise ValueError("gram matrices must be square with equal shapes, "
+                             f"got {ka.shape} and {kb.shape}")
         object.__setattr__(self, "k_a", ka)
         object.__setattr__(self, "k_b", kb)
 
@@ -125,10 +124,10 @@ class GramPair:
 def build_gram_pair(
     data: PairedDataset, spec_a: KernelSpec, spec_b: KernelSpec
 ) -> GramPair:
-    """Build and center both views' Gram matrices."""
+    """Build and center both views' Gram matrices; ``GramPair`` checks them."""
     return GramPair(
-        k_a=_center_in_place(check_symmetric(gram(data.view_a, spec_a), name="gram matrix")),
-        k_b=_center_in_place(check_symmetric(gram(data.view_b, spec_b), name="gram matrix")),
+        k_a=_center_in_place(gram(data.view_a, spec_a)),
+        k_b=_center_in_place(gram(data.view_b, spec_b)),
         spec_a=spec_a,
         spec_b=spec_b,
     )
@@ -140,8 +139,8 @@ class KernelCcaModel:
 
     The reduced route also records, per view, the column count of the Gram's
     factor and the residual trace ``trace(K - R R.T)`` it leaves, summed from
-    the residual diagonal so that it is never negative; the direct route
-    leaves both empty.
+    the ``residual_diagonal`` clipped at zero (so, unlike ``trace(K) -
+    ||R||_F^2``, never negative); the direct route leaves both empty.
     """
 
     alpha: np.ndarray
@@ -225,6 +224,18 @@ def _mirror_lower(a: np.ndarray) -> None:
         a[start:stop, stop:] = a[stop:, start:stop].T
 
 
+def _check_direct(n: int, c1: float, c2: float, r: int) -> None:
+    """Reject arguments the direct route cannot fit, before any Gram is built."""
+    if c1 <= 0 or c2 <= 0:
+        raise ValueError("kernel CCA requires positive ridges c1, c2: the unregularised dual "
+                         "problem is degenerate (all correlations 1)")
+    if n > DIRECT_N_LIMIT:
+        raise ValueError(f"direct kernel CCA is limited to n <= {DIRECT_N_LIMIT} (got n = {n}); "
+                         "use fit_kernel_cca_pgso")
+    if not 1 <= r <= n:
+        raise ValueError(f"components must satisfy 1 <= r <= n = {n}, got {r}")
+
+
 def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaModel:
     """Kernel CCA through the symmetric 2n-dimensional pencil.
 
@@ -243,19 +254,8 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     n x n arrays are alive at once besides the Grams: the two inverses, the
     two factors of the product, and the product.
     """
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError(
-            "kernel CCA requires positive ridges c1, c2: the unregularised dual "
-            "problem is degenerate (all correlations 1)"
-        )
     n = grams.n
-    if n > DIRECT_N_LIMIT:
-        raise ValueError(
-            f"direct kernel CCA is limited to n <= {DIRECT_N_LIMIT} (got n = {n}); "
-            "use fit_kernel_cca_pgso"
-        )
-    if not 1 <= r <= n:
-        raise ValueError(f"components must satisfy 1 <= r <= n = {n}, got {r}")
+    _check_direct(n, c1, c2, r)
     inverse_a = _ridged_inverse(grams.k_a, c1)
     inverse_b = _ridged_inverse(grams.k_b, c2)
     # I - c inv, as -c inv with 1 added on the diagonal; the inverses are
@@ -283,30 +283,20 @@ def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
     ``block`` is in F order."""
     factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, overwrite_a=1)
     if info != 0:
-        raise NumericalError(
-            "a reduced gram block is singular; decrease eta or increase kappa"
-        )
+        raise NumericalError("a reduced gram block is singular; decrease eta or increase kappa")
     return factor
 
 
-def _residual_trace(k: np.ndarray, factor: np.ndarray) -> float:
-    """Trace of ``k - factor @ factor.T``, summed from its diagonal with each
-    entry clipped at zero.
-
-    For a positive semi-definite ``k`` that diagonal is zero on the pivot rows
-    and non-negative on the rows not picked, so a negative entry is roundoff.
-    The clipped sum cannot go negative, where ``trace(k) - ||factor||_F^2``,
-    a difference of nearly equal numbers once the factor is nearly full, can.
-    """
-    residual = np.diag(k) - np.einsum("ij,ij->i", factor, factor)
-    return float(np.maximum(residual, 0.0).sum())
+def _check_pgso(kappa: float, r: int) -> None:
+    """Reject arguments the reduced route cannot fit, before any Gram is built."""
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if r < 1:
+        raise ValueError(f"components must be at least 1, got {r}")
 
 
 def fit_kernel_cca_pgso(
-    grams: GramPair,
-    kappa: float,
-    eta: float | None = None,
-    r: int = 1,
+    grams: GramPair, kappa: float, eta: float | None = None, r: int = 1
 ) -> KernelCcaModel:
     """Kernel CCA on incomplete Cholesky factors of both Grams.
 
@@ -337,10 +327,7 @@ def fit_kernel_cca_pgso(
     r : int
         Number of components.
     """
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if r < 1:
-        raise ValueError(f"components must be at least 1, got {r}")
+    _check_pgso(kappa, r)
     eta_a = 1e-6 * float(np.trace(grams.k_a)) if eta is None else float(eta)
     eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)
     r_a = partial_gram_schmidt(grams.k_a, eta_a)
@@ -378,7 +365,8 @@ def fit_kernel_cca_pgso(
     return replace(
         model,
         factor_columns=(r_a.shape[1], r_b.shape[1]),
-        residual_traces=(_residual_trace(grams.k_a, r_a), _residual_trace(grams.k_b, r_b)),
+        residual_traces=tuple(float(np.maximum(residual_diagonal(k, f), 0.0).sum())
+                              for k, f in ((grams.k_a, r_a), (grams.k_b, r_b))),
     )
 
 

@@ -277,6 +277,10 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     from the column norms, since the residual trace after ``j`` columns is
     ``trace(k) - sum of the first j squared column norms``.
 
+    ``k`` passes as positive semi-definite while its diagonal and every row's
+    ``residual_diagonal`` stay at or above ``-1e-9 * sum |diag k|``, a floor that
+    scales with ``k`` as the residual's roundoff (at most ~``2.2e-10 * trace``) does.
+
     Parameters
     ----------
     k : array_like
@@ -294,13 +298,14 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     n = k.shape[0]
-    d = np.diag(k).copy()
-    if d.size and float(d.min()) < -1e-10:
+    if n == 0:
+        return np.zeros((0, 0))
+    d = np.diag(k)
+    floor = -1e-9 * float(np.abs(d).sum())
+    if float(d.min()) < floor:
         raise NumericalError(
             f"diagonal entry {d.min():.3e} is negative; input is not positive semi-definite"
         )
-    if n == 0:
-        return np.zeros((0, 0))
     # pivots below this are numerical zeros: extending would only add noise
     pivot_floor = 1e-12 * max(float(d.max()), 1.0)
     work = np.array(k, order="F")
@@ -318,17 +323,19 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
         [[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))]
     )
     cols = int(np.argmax(residual_trace <= eta)) if residual_trace[-1] <= eta else rank
-    factor = factor[:, :cols]
-    unpicked = piv[cols:] - 1
-    residual = d[unpicked] - np.einsum("ij,ij->i", factor[cols:], factor[cols:])
-    if residual.size and float(residual.min()) < -1e-10:
+    r = np.empty((n, cols))
+    r[piv - 1] = factor[:, :cols]
+    if float(residual_diagonal(k, r).min()) < floor:
         raise NumericalError(
             "residual diagonal went negative during pivoting; "
             "input is not positive semi-definite"
         )
-    r = np.empty((n, cols))
-    r[piv - 1] = factor
     return r
+
+
+def residual_diagonal(k: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Diagonal of ``k - factor @ factor.T``, from the row norms of ``factor``."""
+    return np.diag(k) - np.einsum("ij,ij->i", factor, factor)
 
 
 def chi2_quantile(p: float, df: int) -> float:

@@ -317,6 +317,24 @@ class TestKccaCommand:
         direct = report_of(out_direct)
         assert "factor_columns" not in direct and "residual_traces" not in direct
 
+    @pytest.mark.parametrize("argv, message", [
+        ((), "use fit_kernel_cca_pgso"),  # example8's recipe n = 10000
+        (("--recipe-n", "300", "--c1", "0"), "positive ridges"),
+        (("--recipe-n", "300", "--pgso", "--kappa", "0"), "kappa must be positive"),
+    ], ids=["direct-n", "direct-ridge", "pgso-kappa"])
+    def test_fit_arguments_rejected_before_any_gram(self, tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+        import cancorr.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
+
+        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
+        monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
+        assert run("kcca", "--recipe", "example8", "--seed", "0", *argv,
+                   "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_sigma_rejected(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)
         assert rc == 2
@@ -363,7 +381,7 @@ class TestPdsccaCommand:
         pinned = report_of(out_pin)
         # both fits run the same per-basis solve on the same Gram matrix
         for key in ("basis_index", "objective", "correlation", "nonzeros_a", "converged",
-                    "kkt_violation"):
+                    "kkt_violation", "n_iterations"):
             assert pinned[key] == rep[key]
         assert 0.0 <= rep["kkt_violation"] <= 1e-9
         assert (out_pin / "sparse_weights_a.csv").read_bytes() == (

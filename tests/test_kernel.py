@@ -368,6 +368,23 @@ class TestGramPair:
         with pytest.raises(ValueError, match="square"):
             GramPair(np.ones((3, 3)), np.ones((4, 4)), KernelSpec("linear"), KernelSpec("linear"))
 
+    def test_asymmetric_or_nonfinite_gram_rejected(self):
+        # the direct route's Cholesky reads one triangle, so only the pair's
+        # own check stands between this skewed Gram and a fit
+        data = generate_synthetic(get_recipe("example7", seed=0))
+        k_a = center_gram(gram(data.view_a, KernelSpec("gaussian", 3.5)))
+        k_b = center_gram(gram(data.view_b, KernelSpec("gaussian", 3.6)))
+        specs = (KernelSpec("gaussian", 3.5), KernelSpec("gaussian", 3.6))
+        skewed = k_a.copy()
+        skewed[5, 0] += 0.3
+        with pytest.raises(ValueError, match="gram matrix is not symmetric"):
+            GramPair(skewed, k_b, *specs)
+        holed = k_b.copy()
+        holed[3, 3] = np.nan
+        with pytest.raises(ValueError, match="gram matrix contains non-finite entries"):
+            GramPair(k_a, holed, *specs)
+        assert fit_kernel_cca(GramPair(k_a, k_b, *specs), 1.5, 0.6, 3).r == 3
+
     def test_build_centers_both(self):
         data = generate_synthetic(get_recipe("example7", seed=0, n=40))
         pair = gaussian_pair(data)

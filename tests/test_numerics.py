@@ -232,6 +232,17 @@ class TestPartialGramSchmidt:
         with pytest.raises(ValueError, match="symmetric"):
             partial_gram_schmidt(np.array([[1.0, 0.5], [0.0, 1.0]]), eta=0.0)
 
+    def test_psd_to_roundoff_gram_factors_at_eta_zero_in_any_units(self):
+        # example8, n = 1500, data seed 0, view b is positive semi-definite to
+        # roundoff, and its full factor leaves residual diagonal entries down
+        # to about -1.2e-10: roundoff the check must not take for indefiniteness
+        k = _gaussian_grams(1500)[1][0]
+        r = partial_gram_schmidt(k, 0.0)
+        assert r.shape[1] >= k.shape[0] - 1
+        # in other units (a power-of-four scale, so the bits scale exactly)
+        # the same factor passes the same check
+        assert np.array_equal(partial_gram_schmidt(k * 4.0**6, 0.0), r * 2.0**6)
+
     def test_returns_its_own_contiguous_array(self):
         k = np.eye(4)
         r = partial_gram_schmidt(k, eta=0.0)
