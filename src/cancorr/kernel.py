@@ -41,12 +41,21 @@ def median_heuristic(x) -> float:
     """Median pairwise Euclidean distance between observations (rows of ``x``).
 
     With an even number of pairs the mean of the two central order statistics
-    is returned, which is plain ``numpy.median`` behaviour.
+    is returned, which is plain ``numpy.median`` behaviour.  The selection runs
+    in place on the squared distances, and only the one or two central values
+    are square-rooted; ``pdist``'s Euclidean distance is the square root of
+    its squared one, so the result equals ``np.median(pdist(x))`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("median heuristic needs a 2-d array with at least two rows")
-    med = float(np.median(pdist(x)))
+    if not np.isfinite(x).all():
+        raise ValueError("median heuristic needs finite observations")
+    d = pdist(x, "sqeuclidean")
+    half = d.size // 2
+    d.partition(half)
+    upper = np.sqrt(d[half])
+    med = float(upper if d.size % 2 else (np.sqrt(d[:half].max()) + upper) / 2.0)
     if med <= 0:
         raise ValueError("median pairwise distance is zero; all observations are identical")
     return med
@@ -64,7 +73,10 @@ def gram(x, spec: KernelSpec) -> np.ndarray:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if spec.kind == "linear":
         return x @ x.T
-    k = squareform(np.exp(-pdist(x, "sqeuclidean") / (2.0 * spec.width**2)))
+    d = pdist(x, "sqeuclidean")
+    np.negative(d, out=d)
+    d /= 2.0 * spec.width**2
+    k = squareform(np.exp(d, out=d))
     np.fill_diagonal(k, 1.0)
     return k
 
@@ -185,10 +197,13 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
     For a symmetric matrix the 2-norm is at most the inf-norm, so
     ``(||K||_inf + c) ||(K + c I)^-1||_inf < COND_LIMIT`` proves the test
     without the spectrum.  When that bound does not hold, or the factorisation
-    fails, the ridged eigenvalues decide.
+    fails, the ridged eigenvalues decide.  The factorisation works on a
+    Fortran-order copy of ``k.T``, a plain copy of the buffer, and so reads
+    the upper triangle of ``k``; ``GramPair`` holds the two triangles within
+    ``SYM_RTOL``.
     """
     lapack = scipy.linalg.lapack
-    work = np.array(k, order="F")
+    work = np.array(k.T, order="F")
     norm = lapack.dlange("I", work) + c
     work[np.diag_indices_from(work)] += c
     factor, info = lapack.dpotrf(work, lower=1, overwrite_a=1)
@@ -198,7 +213,7 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
         _mirror_lower(inverse)
         if norm * lapack.dlange("I", inverse) < COND_LIMIT:
             return inverse
-    ridged = scipy.linalg.eigvalsh(k) + c
+    ridged = scipy.linalg.eigvalsh(k, lower=False) + c
     if not well_conditioned(ridged):
         raise NumericalError(
             "B is not positive definite within working precision "

@@ -88,14 +88,31 @@ def _check_conditioning(eigs: np.ndarray, name: str, ridge: float | None = None)
     )
 
 
+def _tall_grid_svd(cross: np.ndarray, scale_rows: np.ndarray, scale_cols: np.ndarray, r: int):
+    """SVDs of ``diag(scale_rows[i]) cross diag(scale_cols[j])`` for every (i, j).
+
+    ``cross`` is tall (p >= q).  A row scaling is reduced once per ``i`` by the
+    QR ``diag(scale_rows[i]) cross = Q_i T_i``; the q x q blocks
+    ``T_i diag(scale_cols[j]) = P S V^T`` then give ``u = Q_i P``, ``s = S`` and
+    ``v = V`` (Björck & Golub 1973).  Returns the leading ``r`` left vectors
+    (G1, G2, p, r), the singular values (G1, G2, q) and the leading ``r``
+    right vectors (G1, G2, q, r).
+    """
+    orth, tri = np.linalg.qr(scale_rows[:, :, None] * cross)
+    left, s, vh = np.linalg.svd(tri[:, None] * scale_cols[None, :, None, :])
+    return orth[:, None] @ left[..., :r], s, vh[..., :r, :].swapaxes(-1, -2)
+
+
 class _SpectralCore:
     """Whiten-then-SVD solver over one eigendecomposition per within-view block.
 
     With ``C_aa = U_a diag(l_a) U_a.T`` (likewise for view b), the whitened
     cross block is ``diag((l_a + c1)**-1/2) U_a.T C_ab U_b diag((l_b + c2)**-1/2)
     = U S V^T`` and ``w_a = U_a diag((l_a + c1)**-1/2) u`` meets the ridged
-    constraint ``w.T (C + c I) w = 1``; a ridge only shifts the eigenvalues,
-    so one core serves a whole ridge grid.
+    constraint ``w.T (C + c I) w = 1``.  A ridge only shifts the eigenvalues,
+    so one core serves a whole ridge grid, and a ridge on the taller view only
+    rescales the rows of the cross block: that side is reduced by one QR per
+    ridge value, and each grid cell takes the SVD of a small square block.
     """
 
     def __init__(self, blocks: CovarianceBlocks):
@@ -106,13 +123,14 @@ class _SpectralCore:
     def solve(self, c1_grid, c2_grid, r: int):
         """Top ``r`` weight pairs for every cell of the ridge grid ``c1_grid x c2_grid``.
 
-        Builds the (G1, G2, p, q) stack of whitened cross blocks, takes one
-        stacked SVD and maps the leading ``r`` columns back.  Returns
-        ``(w_a, w_b, s, ok)``: weights of shape (G1, G2, p, r) and
-        (G1, G2, q, r), the singular values (G1, G2, min(p, q)), and the
-        (G1, G2) mask of cells whose ridged blocks pass the ``COND_LIMIT``
-        test and whose leading singular value is at most ``1 + CLIP_TOL``.
-        Cells outside the mask hold finite values of no meaning.
+        Solves the (G1, G2) stack of whitened cross blocks by ``_tall_grid_svd``
+        on the taller view (the transposed block when p < q) and maps the
+        leading ``r`` columns back.  Returns ``(w_a, w_b, s, ok)``: weights of
+        shape (G1, G2, p, r) and (G1, G2, q, r), the singular values
+        (G1, G2, min(p, q)), and the (G1, G2) mask of cells whose ridged
+        blocks pass the ``COND_LIMIT`` test and whose leading singular value
+        is at most ``1 + CLIP_TOL``.  Cells outside the mask hold finite
+        values of no meaning.
         """
         ridged_a = self.values_a + np.asarray(c1_grid, dtype=float)[:, None]
         ridged_b = self.values_b + np.asarray(c2_grid, dtype=float)[:, None]
@@ -120,12 +138,12 @@ class _SpectralCore:
         # a failed block is whitened by ones instead, which keeps the stack finite
         scale_a = 1.0 / np.sqrt(np.where(ok_a[:, None], ridged_a, 1.0))
         scale_b = 1.0 / np.sqrt(np.where(ok_b[:, None], ridged_b, 1.0))
-        u, s, vh = np.linalg.svd(
-            scale_a[:, None, :, None] * self.cross * scale_b[None, :, None, :],
-            full_matrices=False,
-        )
-        w_a = self.vectors_a @ (scale_a[:, None, :, None] * u[..., :r])
-        w_b = self.vectors_b @ (scale_b[None, :, :, None] * vh[..., :r, :].swapaxes(-1, -2))
+        if self.cross.shape[0] >= self.cross.shape[1]:
+            u, s, v = _tall_grid_svd(self.cross, scale_a, scale_b, r)
+        else:
+            v, s, u = (x.swapaxes(0, 1) for x in _tall_grid_svd(self.cross.T, scale_b, scale_a, r))
+        w_a = self.vectors_a @ (scale_a[:, None, :, None] * u)
+        w_b = self.vectors_b @ (scale_b[None, :, :, None] * v)
         ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
         return w_a, w_b, s, ok
 
@@ -254,7 +272,8 @@ def fit_svd(data: PairedDataset, r: int | None = None) -> CcaModel:
     are the singular values and the weights are the back-transformed singular
     vectors ``w_a = C_aa**-1/2 u``, ``w_b = C_bb**-1/2 v``.  Each block is
     eigendecomposed once: the inverse square roots are applied in its
-    eigenbasis by the spectral core that the ridge fit and ridge CV share.
+    eigenbasis by the spectral core that the ridge fit and ridge CV share,
+    which takes the SVD of ``M`` through the QR of its taller orientation.
     """
     blocks = covariance_blocks(data)
     w_a, w_b = _SpectralCore(blocks).weights(0.0, 0.0, _resolve_r(r, blocks), ridged=False)

@@ -275,7 +275,10 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     LAPACK's blocked ``dpstrf`` does the elimination with the same pivot rule
     and stops at the same pivot floor; the trace cutoff is applied afterwards
     from the column norms, since the residual trace after ``j`` columns is
-    ``trace(k) - sum of the first j squared column norms``.
+    ``trace(k) - sum of the first j squared column norms``.  It works on a
+    Fortran-order copy of ``k.T``, a plain copy of the buffer, and so reads
+    the upper triangle of ``k``, which ``check_symmetric`` holds to the lower
+    one within ``SYM_RTOL``.
 
     ``k`` passes as positive semi-definite while its diagonal and every row's
     ``residual_diagonal`` stay at or above ``-1e-9 * sum |diag k|``, a floor that
@@ -308,7 +311,7 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
         )
     # pivots below this are numerical zeros: extending would only add noise
     pivot_floor = 1e-12 * max(float(d.max()), 1.0)
-    work = np.array(k, order="F")
+    work = np.array(k.T, order="F")
     c, piv, rank, info = scipy.linalg.lapack.dpstrf(
         work, tol=pivot_floor, lower=1, overwrite_a=1
     )

@@ -33,8 +33,8 @@ class RegularizationConfig:
         object.__setattr__(self, "c2_grid", tuple(float(c) for c in self.c2_grid))
         if not self.c1_grid or not self.c2_grid:
             raise ValueError("ridge grids must be non-empty")
-        if any(c < 0 for c in self.c1_grid + self.c2_grid):
-            raise ValueError("ridge values must be nonnegative")
+        if not all(0.0 <= c < np.inf for c in self.c1_grid + self.c2_grid):
+            raise ValueError("ridge values must be finite and nonnegative")
         if self.n_folds < 2:
             raise ValueError(f"need at least 2 folds, got {self.n_folds}")
         if self.repetitions < 1:
@@ -82,8 +82,8 @@ def fit_regularized(data: PairedDataset, c1: float, c2: float, r: int | None = N
     Reported correlations are the cosines of the unit-norm images, which with
     a ridge sit above the ridged eigenvalues.
     """
-    if c1 < 0 or c2 < 0:
-        raise ValueError(f"ridge constants must be nonnegative, got c1={c1}, c2={c2}")
+    if not (0.0 <= c1 < np.inf and 0.0 <= c2 < np.inf):
+        raise ValueError(f"ridge constants must be finite and nonnegative, got c1={c1}, c2={c2}")
     blocks = covariance_blocks(data)
     w_a, w_b = _SpectralCore(blocks).weights(c1, c2, _resolve_r(r, blocks), ridged=True)
     return _finalize(data, w_a, w_b, f"ridge(c1={c1:g},c2={c2:g})")
@@ -96,8 +96,9 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
     index); each train and test fold is standardized with its own statistics;
     the first canonical component is fitted on the train folds and scored by
     the cosine of the held-out images.  Each training fold's whole grid is
-    solved at once by the stacked spectral solve that :func:`fit_regularized`
-    runs as a 1 x 1 grid, and the held-out cosine takes the sign that
+    solved at once by the spectral solve that :func:`fit_regularized` runs as
+    a 1 x 1 grid: one QR per ridge on the taller view, then one SVD of a
+    small square block per cell.  The held-out cosine takes the sign that
     orients the training images.
 
     A cell fails on a fold when a ridged block is outside ``COND_LIMIT``, its

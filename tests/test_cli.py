@@ -215,6 +215,14 @@ class TestCvCommand:
         assert rep1["selected_c1"] == rep4["selected_c1"]
         assert rep1["selected_c2"] == rep4["selected_c2"]
 
+    @pytest.mark.parametrize("flag, grid", [("--grid-c1", "nan,1"), ("--grid-c2", "1,inf")])
+    def test_non_finite_ridge_rejected(self, tmp_path, capsys, flag, grid):
+        rc = run("cv", "--recipe", "example6", "--seed", "0", "--reps", "1", flag, grid,
+                 "--out", tmp_path)
+        assert rc == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulateCommand:
     def test_wide_recipe_shapes_and_determinism(self, tmp_path):

@@ -29,9 +29,10 @@ from cancorr import (
     standardize,
 )
 from cancorr.dataset import relation_signals
-from cancorr.kernel import KernelCcaModel, _assemble_kernel_model
+from cancorr.kernel import KernelCcaModel, _assemble_kernel_model, _ridged_inverse
 from cancorr.numerics import (
-    SvdResult, fix_signs, lead_signs, partial_gram_schmidt, top_svd, well_conditioned,
+    SYM_RTOL, SvdResult, check_symmetric, fix_signs, lead_signs, partial_gram_schmidt, top_svd,
+    well_conditioned,
 )
 from tests.conftest import one_dominant, traced_peak
 from tests.test_numerics import scalar_partial_gram_schmidt
@@ -346,6 +347,19 @@ class TestMedianHeuristic:
         with pytest.raises(ValueError, match="at least two rows"):
             median_heuristic(np.ones((1, 2)))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 150, 152])
+    def test_equals_numpy_median_of_pdist(self, n):
+        # pair counts 1, 3, 6, 10, 11175 and 11476: odd and even, with and without ties
+        rng = np.random.default_rng(n)
+        for p in (1, 3, 8):
+            x = rng.standard_normal((n, p))
+            for y in (x, np.round(x, 1), np.vstack([x, x])):
+                assert median_heuristic(y) == float(np.median(pdist(y)))
+
+    def test_nonfinite_rows_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            median_heuristic(np.array([[0.0], [np.nan], [1.0], [3.0]]))
+
     def test_nonlinear_recipe_widths(self):
         sig_a = np.mean(
             [
@@ -626,6 +640,25 @@ class TestFitKernelCcaPgso:
         for k in (pair.k_a, pair.k_b):
             eta = 1e-6 * np.trace(k)
             assert np.array_equal(partial_gram_schmidt(k, eta), tril_partial_gram_schmidt(k, eta))
+
+    def test_upper_triangle_read_matches_the_lower_within_sym_rtol(self):
+        # LAPACK reads the upper triangle of the Gram; on one that is symmetric
+        # only within SYM_RTOL the factored matrix and the ridged inverse stay
+        # within 1e-10 of the lower triangle's (the trailing factor columns,
+        # on pivots near eta, amplify the 1e-13 skew to ~5e-10)
+        k = example8_pair(0, 400).k_b
+        rng = np.random.default_rng(0)
+        skew = rng.standard_normal(k.shape)
+        skew -= skew.T
+        k = k + 0.4 * SYM_RTOL * max(float(np.abs(k).max()), 1.0) * skew / np.abs(skew).max()
+        check_symmetric(k)
+        assert not np.array_equal(k, k.T)
+        eta = 1e-6 * np.trace(k)
+        upper, lower_factor = partial_gram_schmidt(k, eta), tril_partial_gram_schmidt(k, eta)
+        assert upper.shape == lower_factor.shape
+        assert np.abs(upper @ upper.T - lower_factor @ lower_factor.T).max() <= 1e-10
+        lower = np.tril(k) + np.tril(k, -1).T
+        assert np.abs(_ridged_inverse(k, 0.1) - _ridged_inverse(lower, 0.1)).max() <= 1e-10
 
     def test_records_factor_columns_and_residual_traces(self):
         pair = gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=0, n=600))))

@@ -18,7 +18,8 @@ from cancorr import (
     take_rows,
 )
 from cancorr.dataset import covariance_blocks
-from cancorr.numerics import gen_eig_sym
+from cancorr.linear import CLIP_TOL, _SpectralCore
+from cancorr.numerics import gen_eig_sym, well_conditioned
 
 ALL_SOLVERS = (fit_standard_eig, fit_generalized_eig, fit_svd)
 
@@ -194,6 +195,54 @@ class TestPencilSpectrum:
         b[3:, 3:] = blocks.c_bb
         values = gen_eig_sym(a, b).values
         assert np.abs(values[:3] - 1.0).max() <= 1e-8
+
+
+def stacked_svd_solve(core: _SpectralCore, c1_grid, c2_grid, r: int):
+    """Reference grid solve: one stacked SVD of every whitened p x q cross block."""
+    ridged_a = core.values_a + np.asarray(c1_grid, dtype=float)[:, None]
+    ridged_b = core.values_b + np.asarray(c2_grid, dtype=float)[:, None]
+    ok_a, ok_b = well_conditioned(ridged_a), well_conditioned(ridged_b)
+    scale_a = 1.0 / np.sqrt(np.where(ok_a[:, None], ridged_a, 1.0))
+    scale_b = 1.0 / np.sqrt(np.where(ok_b[:, None], ridged_b, 1.0))
+    u, s, vh = np.linalg.svd(
+        scale_a[:, None, :, None] * core.cross * scale_b[None, :, None, :],
+        full_matrices=False,
+    )
+    w_a = core.vectors_a @ (scale_a[:, None, :, None] * u[..., :r])
+    w_b = core.vectors_b @ (scale_b[None, :, :, None] * vh[..., :r, :].swapaxes(-1, -2))
+    ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
+    return w_a, w_b, s, ok
+
+
+class TestTallReduction:
+    """The grid solve through one QR per ridge on the taller view, against
+    the stacked SVD of the full whitened blocks."""
+
+    GRID = (0.0, 1e-6, 1e-3, 0.1, 10.0, 1e3)
+
+    @pytest.mark.parametrize("n, p, q", [
+        (60, 70, 10), (60, 10, 70), (30, 4, 3), (30, 3, 4), (30, 5, 5), (12, 8, 2), (8, 9, 9),
+    ])
+    def test_matches_the_stacked_svd(self, n, p, q):
+        data = random_dataset(n * p + q, n, p, q)
+        core = _SpectralCore(covariance_blocks(data))
+        r = min(p, q)
+        w_a, w_b, s, ok = core.solve(self.GRID, self.GRID, r)
+        ref_a, ref_b, ref_s, ref_ok = stacked_svd_solve(core, self.GRID, self.GRID, r)
+        assert np.array_equal(ok, ref_ok)
+        # a view at least as wide as the rows is singular at ridge 0
+        assert ok.all() == (max(p, q) < n - 1)
+        assert np.all(np.abs(s - ref_s) <= 1e-12 * np.maximum(1.0, ref_s))
+        # weights are compared where the singular value is apart from its
+        # neighbours, the null space's zero included when p != q
+        edge = ref_s.shape[:2] + (1,)
+        below = np.concatenate([ref_s[..., 1:], np.full(edge, -np.inf if p == q else 0.0)], -1)
+        above = np.concatenate([np.full(edge, np.inf), ref_s[..., :-1]], -1)
+        apart = (np.minimum(above - ref_s, ref_s - below) > 1e-6)[..., :r] & ok[..., None]
+        assert apart.any()
+        sign = np.sign(np.einsum("...ik,...ik->...k", w_a, ref_a))[..., None, :]
+        for new, ref in ((w_a, ref_a), (w_b, ref_b)):
+            assert np.abs(new * sign - ref).max(axis=-2)[apart].max() <= 1e-9
 
 
 class TestProject:

@@ -173,6 +173,14 @@ class TestFitRegularized:
         with pytest.raises(ValueError, match="components"):
             fit_regularized(example6(0), 0.09, 0.0, r=11)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ridge_rejected(self, bad):
+        data = example6(0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_regularized(data, bad, 0.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_regularized(data, 0.1, bad)
+
 
 class TestConfigValidation:
     def test_rejects_bad_settings(self):
@@ -184,6 +192,13 @@ class TestConfigValidation:
             RegularizationConfig(c1_grid=(0.1,), c2_grid=(0.1,), n_folds=1)
         with pytest.raises(ValueError, match="repetition"):
             RegularizationConfig(c1_grid=(0.1,), c2_grid=(0.1,), repetitions=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_ridges(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RegularizationConfig(c1_grid=(bad, 1.0), c2_grid=(1.0,))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RegularizationConfig(c1_grid=(1.0,), c2_grid=(1.0, bad))
 
     def test_too_few_rows_for_folds(self):
         rng = np.random.default_rng(0)
@@ -296,6 +311,32 @@ class TestCrossValidate:
             )
             assert surface.selected_c1 != FULL_GRID[-1]
             assert surface.scores[-1, 0] < surface.scores.max()
+
+    def test_swapped_views_transpose_the_surface(self):
+        # example6 has p = 70 > q = 10, so the swapped fit runs the grid solve
+        # on the transposed orientation; c = 0 on the wide view fails every fold
+        data = example6(0)
+        grids = ((0.0, 1e-3, 0.05, 1.0, 1e3), (0.0, 1e-3, 0.1))
+        surface = cross_validate(data, RegularizationConfig(*grids, repetitions=2))
+        swapped = cross_validate(
+            PairedDataset(data.view_b, data.view_a),
+            RegularizationConfig(*grids[::-1], repetitions=2),
+        )
+        assert np.abs(swapped.scores - surface.scores.T).max() <= 1e-11
+        assert np.array_equal(swapped.failed_folds, surface.failed_folds.T)
+        assert surface.failed_folds[0].tolist() == [10, 10, 10]
+        assert (swapped.selected_c1, swapped.selected_c2) == (
+            surface.selected_c2, surface.selected_c1
+        )
+
+    def test_example6_selection_over_data_seeds(self):
+        # (c1, c2) indices into the default grid that `cv --recipe example6
+        # --seed s` selects; the best cell leads the next by 3.1e-5 or more
+        selected = [(4, 3), (0, 0), (1, 0), (2, 0), (2, 0), (1, 0), (2, 1), (5, 4),
+                    (5, 2), (2, 0), (6, 2), (6, 3), (4, 3), (1, 0), (1, 0), (1, 0)]
+        for seed, (i, j) in enumerate(selected):
+            surface = cross_validate(example6(seed), RegularizationConfig(seed=seed))
+            assert (surface.selected_c1, surface.selected_c2) == (FULL_GRID[i], FULL_GRID[j])
 
     def test_csv_export_roundtrip(self, tmp_path):
         data = example6(3)
