@@ -329,7 +329,7 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     data_std, recipe, _ = _prepare(args, seed)
     # reject the fit's arguments before the widths and Grams are computed
     if args.pgso:
-        _check_pgso(args.kappa, args.components)
+        _check_pgso(args.kappa, args.eta, args.components)
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
     spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")

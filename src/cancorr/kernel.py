@@ -16,9 +16,10 @@ from .numerics import (
     pearson_columns, ranked_pairs, residual_diagonal, top_svd, well_conditioned,
 )
 
-# The direct fit inverts two ridged n x n Grams and takes the top singular
-# triplets of an n x n product, which is only sensible at desk scale; larger
-# problems go through the reduced route.
+# The direct fit inverts two ridged n x n Grams and forms an n x n product
+# and its n x n Gram; even with Lanczos taking only the top singular triplets
+# (``top_svd``), that is only sensible at desk scale, and larger problems go
+# through the reduced route.
 DIRECT_N_LIMIT = 2000
 
 
@@ -241,6 +242,8 @@ def _mirror_lower(a: np.ndarray) -> None:
 
 def _check_direct(n: int, c1: float, c2: float, r: int) -> None:
     """Reject arguments the direct route cannot fit, before any Gram is built."""
+    if not (np.isfinite(c1) and np.isfinite(c2)):
+        raise ValueError(f"kernel CCA requires finite ridges c1, c2, got {c1} and {c2}")
     if c1 <= 0 or c2 <= 0:
         raise ValueError("kernel CCA requires positive ridges c1, c2: the unregularised dual "
                          "problem is degenerate (all correlations 1)")
@@ -265,9 +268,10 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     ``beta = (Kb + c2 I)^-1 Q`` are signed as the pencil's stacked
     eigenvectors.  Each view's ridged Gram is inverted through its Cholesky
     factor and must stay within ``COND_LIMIT`` (``_ridged_inverse``); only the
-    ``r`` leading singular triplets are computed (``top_svd``).  At most five
-    n x n arrays are alive at once besides the Grams: the two inverses, the
-    two factors of the product, and the product.
+    ``r`` leading singular triplets are computed (``top_svd``: from
+    ``LANCZOS_MIN_ROWS`` rows on by Lanczos, below it by a subset ``eigh``).
+    At most five n x n arrays are alive at once besides the Grams: the two
+    inverses, the two factors of the product, and the product.
     """
     n = grams.n
     _check_direct(n, c1, c2, r)
@@ -302,10 +306,12 @@ def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _check_pgso(kappa: float, r: int) -> None:
+def _check_pgso(kappa: float, eta: float | None, r: int) -> None:
     """Reject arguments the reduced route cannot fit, before any Gram is built."""
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if eta is not None and not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     if r < 1:
         raise ValueError(f"components must be at least 1, got {r}")
 
@@ -320,7 +326,9 @@ def fit_kernel_cca_pgso(
     the reduced blocks ``D_xy = R_x.T R_y``, and takes the top ``r`` singular
     triplets ``(u, rho, v)`` of the whitened cross block
     ``inv(S) D_ab inv(L_b).T``, with ``D_aa = S S.T`` and
-    ``D_bb + kappa I = L_b L_b.T``, through ``top_svd``.  The reduced duals
+    ``D_bb + kappa I = L_b L_b.T``, through ``top_svd`` (Lanczos once the
+    block has ``LANCZOS_MIN_ROWS`` rows, as on example8 at n=3000 with about
+    1730 x 1940; a subset ``eigh`` below).  The reduced duals
     ``alpha_red = inv(S).T u`` and ``inv(D_bb) D_ab.T alpha_red / rho`` are
     mapped back through the factors and reported against the true Grams.  The
     model records each factor's column count and residual trace.
@@ -335,14 +343,14 @@ def fit_kernel_cca_pgso(
     grams : GramPair
         Centered Gram matrices.
     kappa : float
-        Positive ridge on the reduced view-b block.
+        Positive finite ridge on the reduced view-b block.
     eta : float, optional
-        Residual-trace cutoff for the factorisation, shared by both views
-        when given explicitly.
+        Finite nonnegative residual-trace cutoff for the factorisation, shared
+        by both views when given explicitly.
     r : int
         Number of components.
     """
-    _check_pgso(kappa, r)
+    _check_pgso(kappa, eta, r)
     eta_a = 1e-6 * float(np.trace(grams.k_a)) if eta is None else float(eta)
     eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)
     r_a = partial_gram_schmidt(grams.k_a, eta_a)

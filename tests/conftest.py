@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, settings
 
 from cancorr import generate_synthetic, get_recipe
@@ -23,6 +25,21 @@ def example1_data():
 @pytest.fixture(scope="session")
 def example7_data():
     return generate_synthetic(get_recipe("example7", seed=0))
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Records each ``scipy.linalg.eigh``/``eigvalsh`` and ``scipy.sparse.linalg.eigsh``
+    call as (name, full), where ``full`` is False for a subset or Lanczos solve."""
+    calls = []
+    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                         (scipy.sparse.linalg, "eigsh")):
+        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, _name != "eigsh" and "subset_by_index" not in kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def random_standardized(seed: int, n: int, p: int, q: int):

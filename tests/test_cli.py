@@ -343,6 +343,28 @@ class TestKccaCommand:
                    "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--c1", "nan"), "finite ridges"),
+        (("--c2", "inf"), "finite ridges"),
+        (("--pgso", "--kappa", "nan"), "kappa must be positive and finite"),
+        (("--pgso", "--eta", "nan"), "eta must be finite and nonnegative"),
+        (("--pgso", "--eta", "inf"), "eta must be finite and nonnegative"),
+        (("--pgso", "--eta", "-1"), "eta must be finite and nonnegative"),
+    ], ids=["c1-nan", "c2-inf", "kappa-nan", "eta-nan", "eta-inf", "eta-negative"])
+    def test_non_finite_arguments_rejected_before_any_width(self, tmp_path, monkeypatch, capsys,
+                                                            argv, message):
+        import cancorr.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
+
+        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
+        monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
+        assert run("kcca", "--recipe", "example7", "--seed", "0", *argv,
+                   "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sigma_rejected(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)
         assert rc == 2
@@ -640,8 +662,10 @@ class TestStartUp:
         (("biplot", "--recipe", "example1"), 0, ("scipy.spatial",)),
         (("cv", "--recipe", "example6", "--grid-c1", "0.1,10", "--grid-c2", "0.1,10",
           "--folds", "2", "--reps", "1"), 0, ("scipy.spatial",)),
-        (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0, ()),
-        (("kcca", "--recipe", "example7", "--pgso"), 0, ()),
+        # example7's n = 150 is below top_svd's Lanczos crossover
+        (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0,
+         ("scipy.sparse.linalg",)),
+        (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.sparse.linalg",)),
         (("pdscca", "--recipe", "example10", "--basis", "0"), 0, ()),
         (("pmd", "--recipe", "example9", "--budget-a", "1.2", "--budget-b", "1.2",
           "--components", "3"), 0, ("scipy.linalg", "scipy.spatial")),

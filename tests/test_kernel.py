@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from cancorr import (
@@ -31,11 +32,11 @@ from cancorr import (
 from cancorr.dataset import relation_signals
 from cancorr.kernel import KernelCcaModel, _assemble_kernel_model, _ridged_inverse
 from cancorr.numerics import (
-    SYM_RTOL, SvdResult, check_symmetric, fix_signs, lead_signs, partial_gram_schmidt, top_svd,
-    well_conditioned,
+    LANCZOS_MIN_ROWS, SYM_RTOL, SvdResult, check_symmetric, fix_signs, lead_signs,
+    partial_gram_schmidt, top_svd, well_conditioned,
 )
 from tests.conftest import one_dominant, traced_peak
-from tests.test_numerics import scalar_partial_gram_schmidt
+from tests.test_numerics import dense_top_svd, scalar_partial_gram_schmidt
 
 
 def gaussian_pair(data: PairedDataset) -> GramPair:
@@ -160,9 +161,17 @@ def tril_partial_gram_schmidt(k: np.ndarray, eta: float) -> np.ndarray:
 
 
 def copying_top_svd(m: np.ndarray, r: int) -> SvdResult:
-    """Reference ``top_svd``: the subset ``eigh`` works on a copy of ``m @ m.T``."""
+    """Reference ``top_svd``: the same eigensolve works on a copy of ``m @ m.T``.
+
+    The Lanczos solve gets an F-order copy, the layout ``top_svd`` passes it:
+    ARPACK's products with the Gram round differently in each layout.
+    """
     rows = m.shape[0]
-    _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
+    if rows >= LANCZOS_MIN_ROWS and 8 * r <= rows:
+        start = np.random.default_rng(0).standard_normal(rows)
+        _, q = eigsh(np.array(m @ m.T, order="F"), k=r, which="LA", tol=0, v0=start)
+    else:
+        _, q = scipy.linalg.eigh(m @ m.T, subset_by_index=[rows - r, rows - 1])
     p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
     signs = lead_signs(q @ p)
     return SvdResult(q @ p * signs, s, vh.T * signs)
@@ -210,20 +219,6 @@ def copying_pgso_fit(pair: GramPair, kappa: float, r: int) -> KernelCcaModel:
     return _assemble_kernel_model(pair, alpha, beta, "kernel_pgso", {"kappa": kappa})
 
 
-@pytest.fixture
-def eigen_calls(monkeypatch):
-    """Records each ``scipy.linalg.eigh``/``eigvalsh`` call as (name, full), where
-    ``full`` is False for a subset solve."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def spy(*args, _original=getattr(scipy.linalg, name), _name=name, **kwargs):
-            calls.append((_name, "subset_by_index" not in kwargs))
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, name, spy)
-    return calls
-
-
 def linear_pair_60x3() -> tuple[PairedDataset, GramPair]:
     """Three standardized variables per view, one planted relation; its linear
     Grams have rank 3 in n = 60."""
@@ -233,6 +228,28 @@ def linear_pair_60x3() -> tuple[PairedDataset, GramPair]:
     view_b[:, 0] = view_a[:, 1] + 0.4 * rng.standard_normal(60)
     data = standardize(PairedDataset(view_a, view_b))
     return data, build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
+
+
+def linear_pair_rank3(n: int) -> GramPair:
+    """Linear Grams of three standardized variables per view, rank 3 in n rows."""
+    rng = np.random.default_rng(12)
+    view_a = rng.standard_normal((n, 3))
+    view_b = view_a + rng.standard_normal((n, 3))
+    data = standardize(PairedDataset(view_a, view_b))
+    return build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
+
+
+def linear_pair_sharing_three(n: int, width: int) -> GramPair:
+    """Linear Grams of two ``width``-dimensional orthonormal views of n centred
+    rows that share exactly three directions: their reduced cross block has
+    rank 3 while each factor keeps ``width`` columns."""
+    rng = np.random.default_rng(13)
+    draws = rng.standard_normal((n, 2 * width - 3))
+    basis, _ = np.linalg.qr(draws - draws.mean(axis=0))
+    view_a = basis[:, :width]
+    view_b = np.hstack([basis[:, :3], basis[:, width:]])
+    return GramPair(view_a @ view_a.T, view_b @ view_b.T,
+                    KernelSpec("linear"), KernelSpec("linear"))
 
 
 class TestKernelSpec:
@@ -422,6 +439,18 @@ class TestFitKernelCca:
         with pytest.raises(ValueError, match="degenerate"):
             fit_kernel_cca(pair, 0.0, 0.1, 1)
 
+    @pytest.mark.parametrize("c1, c2", [(np.nan, 0.1), (0.1, np.inf), (np.inf, np.nan)])
+    def test_non_finite_ridge_rejected(self, c1, c2):
+        pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
+        with pytest.raises(ValueError, match="finite ridges"):
+            fit_kernel_cca(pair, c1, c2, 1)
+
+    def test_rank_shortage_reported_above_the_crossover(self, eigen_calls):
+        pair = linear_pair_rank3(LANCZOS_MIN_ROWS + 100)
+        with pytest.raises(NumericalError, match="only 3 positive pencil eigenvalues"):
+            fit_kernel_cca(pair, 0.1, 0.1, 5)
+        assert ("eigsh", False) in eigen_calls
+
     def test_component_bounds(self):
         data = generate_synthetic(get_recipe("example7", seed=0, n=30))
         pair = gaussian_pair(data)
@@ -473,8 +502,9 @@ class TestFitKernelCca:
         data = standardize(generate_synthetic(get_recipe("example8", seed=0, n=1500)))
         pair = gaussian_pair(data)
         model = fit_kernel_cca(pair, 1.5, 0.6, 3)
-        # well conditioned: the only eigensolve is top_svd's subset solve
-        assert eigen_calls == [("eigh", False)]
+        # well conditioned: the only eigensolve is top_svd's Lanczos solve,
+        # and no dense eigh runs
+        assert eigen_calls == [("eigsh", False)]
         reference = eigenbasis_kernel_fit(pair, 1.5, 0.6, 3)
         assert np.abs(model.correlations - reference.correlations).max() <= 1e-12
         assert np.abs(model.z_a - reference.z_a).max() <= 1e-10
@@ -710,6 +740,26 @@ class TestFitKernelCcaPgso:
         with pytest.raises(ValueError, match="components"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=0)
 
+    @pytest.mark.parametrize("kappa, eta", [(np.nan, None), (np.inf, None), (0.5, np.nan),
+                                            (0.5, np.inf), (0.5, -1.0)])
+    def test_bad_kappa_or_eta_rejected_before_factoring(self, monkeypatch, kappa, eta):
+        import cancorr.kernel as kernel_module
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a Gram factored for a fit that cannot run")
+
+        monkeypatch.setattr(kernel_module, "partial_gram_schmidt", unreachable)
+        pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
+        with pytest.raises(ValueError, match="kappa must be positive and finite"
+                           if eta is None else "eta must be finite and nonnegative"):
+            fit_kernel_cca_pgso(pair, kappa=kappa, eta=eta, r=1)
+
+    def test_component_shortage_reported_above_the_crossover(self, eigen_calls):
+        pair = linear_pair_sharing_three(2 * LANCZOS_MIN_ROWS, LANCZOS_MIN_ROWS + 10)
+        with pytest.raises(NumericalError, match="supports only 3 components"):
+            fit_kernel_cca_pgso(pair, kappa=0.1, r=5)
+        assert ("eigsh", False) in eigen_calls
+
     def test_component_shortage_reported(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((20, 1))
@@ -738,6 +788,40 @@ class TestFitKernelCcaPgso:
         monkeypatch.setattr(kernel_module, "partial_gram_schmidt", degenerate_factor)
         with pytest.raises(NumericalError, match="decrease eta or increase kappa"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=1)
+
+
+class TestLanczosMatchesTheDenseSolve:
+    """Both routes with ``top_svd``'s Lanczos solve against the same fits with
+    the subset-``eigh`` reference, on example8 data seeds 0-3."""
+
+    @staticmethod
+    def _fits(monkeypatch, eigen_calls, fit):
+        import cancorr.kernel as kernel_module
+
+        model = fit()
+        assert ("eigsh", False) in eigen_calls
+        monkeypatch.setattr(kernel_module, "top_svd", dense_top_svd)
+        return model, fit()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_direct_route(self, monkeypatch, eigen_calls, seed):
+        pair = example8_pair(seed, 1500)
+        model, ref = self._fits(monkeypatch, eigen_calls,
+                                lambda: fit_kernel_cca(pair, 1.5, 0.6, 3))
+        assert np.abs(model.correlations - ref.correlations).max() <= 1e-13
+        assert np.abs(model.z_a - ref.z_a).max() <= 1e-12
+        assert np.abs(model.z_b - ref.z_b).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pgso_route(self, monkeypatch, eigen_calls, seed):
+        # the dual back-map has condition ~1e8 at the default eta, so the
+        # images carry more of the eigenvectors' roundoff than the correlations
+        pair = example8_pair(seed, 2000)
+        model, ref = self._fits(monkeypatch, eigen_calls,
+                                lambda: fit_kernel_cca_pgso(pair, kappa=0.5, r=3))
+        assert np.abs(model.correlations - ref.correlations).max() <= 1e-10
+        assert np.abs(model.z_a - ref.z_a).max() <= 1e-8
+        assert np.abs(model.z_b - ref.z_b).max() <= 1e-8
 
 
 class TestWorkingSet:

@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cancorr.numerics import (
+    LANCZOS_MIN_ROWS,
     NumericalError,
+    SvdResult,
     chi2_quantile,
     check_symmetric,
     fix_signs,
@@ -168,6 +172,100 @@ class TestTopSvd:
             top_svd(np.ones((3, 2)), 3)
 
 
+def dense_top_svd(m: np.ndarray, r: int) -> SvdResult:
+    """Reference ``top_svd``: the top-``r`` eigenvectors of ``m @ m.T`` from a
+    subset ``eigh`` at every size, then the small SVD of ``q.T @ m``."""
+    rows = m.shape[0]
+    _, q = scipy.linalg.eigh(
+        (m @ m.T).T, subset_by_index=[rows - r, rows - 1], overwrite_a=True
+    )
+    p, s, vh = np.linalg.svd(q.T @ m, full_matrices=False)
+    signs = lead_signs(q @ p)
+    return SvdResult(q @ p * signs, s, vh.T * signs)
+
+
+def planted(seed: int, rows: int, cols: int, values) -> np.ndarray:
+    """A ``rows x cols`` matrix with the given singular values and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, len(values))))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, len(values))))
+    return (u * np.asarray(values, dtype=float)) @ v.T
+
+
+class TestLanczosTopSvd:
+    """From ``LANCZOS_MIN_ROWS`` rows on, ``top_svd`` takes its eigenvectors from
+    Lanczos and must match the subset-``eigh`` reference."""
+
+    @staticmethod
+    def _assert_matches_dense(m, r):
+        top, ref = top_svd(m, r), dense_top_svd(m, r)
+        spectrum = np.linalg.svd(m, compute_uv=False)
+        assert np.abs(top.s - ref.s).max() <= 1e-12 * spectrum[0]
+        # vectors are defined up to sign only where the singular value is isolated
+        gaps = np.abs(np.diff(spectrum))
+        for j in range(r):
+            if (j == 0 or gaps[j - 1] > 1e-6) and (j == len(gaps) or gaps[j] > 1e-6):
+                sign = np.sign(top.u[:, j] @ ref.u[:, j])
+                assert np.abs(top.u[:, j] - sign * ref.u[:, j]).max() <= 1e-9, j
+                assert np.abs(top.v[:, j] - sign * ref.v[:, j]).max() <= 1e-9, j
+        return top, ref
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", [(600, 600), (900, 120), (600, 900)],
+                             ids=["square", "tall", "wide"])
+    def test_matches_the_dense_solve(self, eigen_calls, seed, shape):
+        m = np.random.default_rng(seed).standard_normal(shape)
+        for r in (1, 3, shape[0] // 8):
+            self._assert_matches_dense(m, r)
+        assert eigen_calls.count(("eigsh", False)) == 3
+
+    def test_repeated_leading_values(self, eigen_calls):
+        values = [5.0, 5.0, 5.0, 3.0, 3.0, *np.linspace(2.0, 0.1, 60)]
+        m = planted(7, 700, 650, values)
+        for r in (3, 5, 8):
+            top, ref = self._assert_matches_dense(m, r)
+            # the repeated values' vectors span the same subspaces
+            for block in (slice(0, 3), slice(3, 5)):
+                if block.stop <= r:
+                    assert np.abs(top.u[:, block] @ top.u[:, block].T
+                                  - ref.u[:, block] @ ref.u[:, block].T).max() <= 1e-9
+        assert eigen_calls.count(("eigsh", False)) == 3
+
+    def test_rank_shortage(self, eigen_calls):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((700, 3)) @ rng.standard_normal((3, 650))
+        top, ref = self._assert_matches_dense(m, 5)
+        assert top.s[3:].max() <= 1e-12 * top.s[0]
+        assert eigen_calls.count(("eigsh", False)) == 1
+
+    def test_two_calls_bit_equal(self):
+        m = np.random.default_rng(3).standard_normal((640, 700))
+        first, second = top_svd(m, 4), top_svd(m, 4)
+        for a, b in zip((first.u, first.s, first.v), (second.u, second.s, second.v)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape, r", [((LANCZOS_MIN_ROWS - 1, 650), 3),
+                                          ((LANCZOS_MIN_ROWS, 650), LANCZOS_MIN_ROWS // 8 + 1)],
+                             ids=["few-rows", "large-r"])
+    def test_dense_solve_below_the_crossover(self, eigen_calls, shape, r):
+        top_svd(np.random.default_rng(0).standard_normal(shape), r)
+        assert eigen_calls == [("eigh", False)]
+
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+        scipy.sparse.linalg.ArpackError(-9999),
+    ], ids=["no-convergence", "arpack-error"])
+    def test_lanczos_failure_raises_without_fallback(self, monkeypatch, eigen_calls, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        m = np.random.default_rng(0).standard_normal((LANCZOS_MIN_ROWS, 650))
+        with pytest.raises(NumericalError, match=rf"no 3 leading .* {LANCZOS_MIN_ROWS} x "):
+            top_svd(m, 3)
+        assert eigen_calls == []
+
+
 class TestInvSqrtSpd:
     def test_diagonal(self):
         assert np.allclose(inv_sqrt_spd(np.diag([4.0, 9.0])), np.diag([0.5, 1.0 / 3.0]))
@@ -223,6 +321,9 @@ class TestPartialGramSchmidt:
     def test_rejects_negative_eta_and_indefinite(self):
         with pytest.raises(ValueError, match="eta"):
             partial_gram_schmidt(np.eye(2), eta=-1.0)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+                partial_gram_schmidt(np.eye(2), eta=eta)
         with pytest.raises(NumericalError, match="diagonal entry"):
             partial_gram_schmidt(np.diag([1.0, -1.0]), eta=0.0)
         # nonnegative diagonal, but one eigenvalue of -1: the residual of the
