@@ -230,7 +230,13 @@ def _write_sparse_weights_csv(path: Path, names, weights: np.ndarray) -> None:
 
 
 def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "func"}
+    """The parsed arguments, for the report; a non-finite float has no JSON form
+    and is refused with its flag's name."""
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    for key, value in config.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    return config
 
 
 def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[KernelSpec, float | None]:
@@ -615,10 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_report(path: Path, report: dict, tracker: OutputTracker) -> None:
     """Write ``report`` to a temp file beside ``path``, then rename it over
-    ``path``, so a failed write never leaves a partial report."""
+    ``path``, so a failed write never leaves a partial report.  A NaN or
+    infinity, which JSON cannot hold, fails the write with ``ValueError``."""
     tmp = tracker.path(f".{path.name}.tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -645,10 +652,11 @@ def main(argv=None) -> int:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.update(command=args.command, config=_config_echo(args), seed=seed, version=__version__)
     try:
+        report.update(command=args.command, config=_config_echo(args), seed=seed,
+                      version=__version__)
         _write_report(report_path, report, tracker)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         tracker.cleanup()
         print(f"error: could not write {report_path}: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
@@ -34,8 +34,9 @@ class KernelSpec:
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind '{self.kind}'; expected linear or gaussian")
         if self.kind == "gaussian":
-            if self.width is None or not np.isfinite(self.width) or self.width <= 0:
-                raise ValueError(f"gaussian kernel needs a positive finite width, got {self.width}")
+            w = self.width
+            if w is None or not (np.isfinite(w) and w > 0 and 2.0 * w**2 > 0):
+                raise ValueError(f"gaussian kernel needs a positive finite width (2 width^2 > 0), got {w}")
 
 
 def median_heuristic(x) -> float:
@@ -65,21 +66,19 @@ def median_heuristic(x) -> float:
 def gram(x, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the rows of ``x`` under ``spec``.
 
-    The gaussian kernel is ``exp(-||xi - xj||^2 / (2 width^2))`` with an
-    exactly unit diagonal; it is evaluated once per pair, on the condensed
-    distance vector.
+    The gaussian kernel ``exp(-||xi - xj||^2 / (2 width^2))`` is taken in place on one
+    ``cdist`` square: entry (i, j) sums the same squares in the same order as (j, i), and
+    (i, i) is 0, so it is exactly symmetric and ``exp(-0.0) = 1`` fills the diagonal.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if spec.kind == "linear":
         return x @ x.T
-    d = pdist(x, "sqeuclidean")
-    np.negative(d, out=d)
-    d /= 2.0 * spec.width**2
-    k = squareform(np.exp(d, out=d))
-    np.fill_diagonal(k, 1.0)
-    return k
+    k = cdist(x, x, "sqeuclidean")
+    np.negative(k, out=k)
+    k /= 2.0 * spec.width**2
+    return np.exp(k, out=k)
 
 
 def center_gram(k) -> np.ndarray:

@@ -19,8 +19,8 @@ PD_MAX_STEPS = 2000
 
 def soft_threshold(a, c: float) -> np.ndarray:
     """Elementwise shrinkage ``sign(a) * max(|a| - c, 0)``."""
-    if c < 0:
-        raise ValueError(f"threshold must be nonnegative, got {c}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"threshold must be finite and nonnegative, got {c}")
     a = np.asarray(a, dtype=float)
     return np.sign(a) * np.maximum(np.abs(a) - c, 0.0)
 
@@ -33,7 +33,8 @@ def sparse_unit_solve(a, budget: float) -> np.ndarray:
     and otherwise the exact threshold that meets it: if ``delta`` keeps the
     ``k`` largest magnitudes, with mean ``mean`` and sum of squared deviations
     ``V``, then ``delta = mean - budget * sqrt(V / (k (k - budget^2)))``.
-    Budgets below 1 are infeasible (a unit 2-norm vector has 1-norm >= 1).
+    A budget must be finite; below 1 it is infeasible (a unit 2-norm vector
+    has 1-norm >= 1).
     ``t`` entries tied for the largest magnitude hold the 1-norm at ``sqrt(t)``
     or more; a budget below that raises ``NumericalError``.
     """
@@ -41,8 +42,9 @@ def sparse_unit_solve(a, budget: float) -> np.ndarray:
     norm = np.linalg.norm(a)
     if norm == 0:
         raise ValueError("cannot solve for a zero coefficient vector")
-    if budget < 1:
-        raise ValueError(f"budget below 1 is infeasible for a unit vector, got {budget}")
+    if not (np.isfinite(budget) and budget >= 1):
+        raise ValueError("budget must be finite and at least 1 (below 1 is infeasible "
+                         f"for a unit vector), got {budget}")
     u = a / norm
     if np.abs(u).sum() <= budget:
         return u
@@ -108,16 +110,17 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
     level flags a genuinely related pair. On signal-dominated matrices the
     two starts agree.
 
-    Budgets live in ``[1, sqrt(dim)]``; above the upper end the 1-norm
-    constraint is simply inactive.
+    Budgets must be finite and at least 1; from ``sqrt(dim)`` up the 1-norm
+    constraint is simply inactive, so an infinite budget would add nothing.
     """
     c_ab = as_checked_array(c_ab, "cross-covariance")
     if c_ab.ndim != 2:
         raise ValueError(f"cross-covariance must be 2-d, got shape {c_ab.shape}")
     p, q = c_ab.shape
-    if budget_a < 1 or budget_b < 1:
+    if not (np.isfinite(budget_a) and np.isfinite(budget_b) and min(budget_a, budget_b) >= 1):
         raise ValueError(
-            f"budgets below 1 are infeasible, got ({budget_a}, {budget_b})"
+            "budgets must be finite and at least 1 (below 1 is infeasible), "
+            f"got ({budget_a}, {budget_b})"
         )
     if not 1 <= r <= min(p, q):
         raise ValueError(f"ranks must satisfy 1 <= r <= min(p, q) = {min(p, q)}, got {r}")
@@ -200,8 +203,8 @@ def _stacked_problem(x_a, k_b, mu, gamma):
     n, p = x_a.shape
     if k_b.shape[0] != n:
         raise ValueError(f"row counts differ: view a has {n}, kernel matrix has {k_b.shape[0]}")
-    if mu < 0 or gamma < 0:
-        raise ValueError(f"penalties must be nonnegative, got mu={mu}, gamma={gamma}")
+    if not (np.isfinite(mu) and np.isfinite(gamma) and min(mu, gamma) >= 0):
+        raise ValueError(f"penalties must be finite and nonnegative, got mu={mu}, gamma={gamma}")
     design = np.hstack([x_a, -k_b])
     return x_a, k_b, design, design.T @ design, np.repeat([float(mu), float(gamma)], [p, n])
 

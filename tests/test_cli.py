@@ -365,6 +365,19 @@ class TestKccaCommand:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--eta=nan",), "--eta"),
+        (("--kappa=inf",), "--kappa"),
+        (("--pgso", "--c1=inf"), "--c1"),
+        (("--pgso", "--c2=nan"), "--c2"),
+    ], ids=["direct-eta", "direct-kappa", "pgso-c1", "pgso-c2"])
+    def test_off_route_non_finite_argument_rejected(self, tmp_path, capsys, argv, flag):
+        # the route ignores the argument, but the report echoes it, and JSON has no NaN
+        assert run("kcca", "--recipe", "example7", "--seed", "0", *argv,
+                   "--out", tmp_path) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_sigma_rejected(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)
         assert rc == 2
@@ -383,6 +396,12 @@ class TestPmdCommand:
         assert rows[0] == ["component", "index", "variable", "value"]
         assert len(rows) == 1 + sum(rep["nonzeros_a"])
         assert all(float(r[3]) != 0.0 for r in rows[1:])
+
+    @pytest.mark.parametrize("argv", [("--budget-a=nan",), ("--budget-b=inf",)])
+    def test_non_finite_budget_rejected(self, tmp_path, capsys, argv):
+        assert run("pmd", "--recipe", "example9", "--seed", "0", *argv, "--out", tmp_path) == 2
+        assert "finite and at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPdsccaCommand:
@@ -416,6 +435,14 @@ class TestPdsccaCommand:
         assert 0.0 <= rep["kkt_violation"] <= 1e-9
         assert (out_pin / "sparse_weights_a.csv").read_bytes() == (
             out_scan / "sparse_weights_a.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [("--mu=nan",), ("--mu=inf",),
+                                      ("--gamma=inf", "--basis", "0")])
+    def test_non_finite_penalty_rejected(self, tmp_path, capsys, argv):
+        assert run("pdscca", "--recipe", "example10", "--seed", "0", *argv,
+                   "--out", tmp_path) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReportedCorrelationsStayBounded:
@@ -548,10 +575,61 @@ class TestErrorExits:
         assert run(*argv) == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_unserialisable_report_leaves_nothing(self, tmp_path, monkeypatch, capsys, value):
+        simulate = cli._cmd_simulate
+
+        def with_a_non_finite_entry(args, seed, tracker):
+            return {**simulate(args, seed, tracker), "spoiled": value}
+
+        monkeypatch.setattr(cli, "_cmd_simulate", with_a_non_finite_entry)
+        assert run("simulate", "--recipe", "example1", "--seed", "0", "--out", tmp_path) == 2
+        assert "JSON" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# A source that each subcommand with a float option runs on.
+NON_FINITE_SWEEP_SOURCES = {
+    "fit": ("--recipe", "example1"),
+    "test": ("--recipe", "example1"),
+    "kcca": ("--recipe", "example7"),
+    "pmd": ("--recipe", "example9"),
+    "pdscca": ("--recipe", "example10"),
+}
+
+
+def float_flag_cases() -> list:
+    """(command, route, flag, value) for every option the parser reads with
+    ``type=float``, on both kcca routes, and each non-finite spelling."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    cases = []
+    for command, sub in commands.choices.items():
+        routes = ((), ("--pgso",)) if command == "kcca" else ((),)
+        for flag in (a.option_strings[0] for a in sub._actions if a.type is float):
+            for route in routes:
+                for value in ("nan", "inf", "-inf"):
+                    cases.append(pytest.param(
+                        command, route, flag, value,
+                        id="-".join([command, *(r.strip("-") for r in route), flag[2:], value]),
+                    ))
+    return cases
+
+
+class TestNonFiniteFloatFlags:
+    @pytest.mark.parametrize("command, route, flag, value", float_flag_cases())
+    def test_rejected_with_no_files(self, tmp_path, command, route, flag, value):
+        source = NON_FINITE_SWEEP_SOURCES.get(command)
+        assert source is not None, f"give '{command}' a source in NON_FINITE_SWEEP_SOURCES"
+        # --flag=value, since argparse reads a bare -inf as an option
+        assert main([command, *source, "--seed", "0", *route, f"{flag}={value}",
+                     "--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReproducibility:

@@ -133,6 +133,17 @@ def pgso_loop_fit(pair: GramPair, kappa: float, r: int):
     return np.abs(corr)[order], z_a[:, order], z_b[:, order]
 
 
+def condensed_gram(x, spec: KernelSpec) -> np.ndarray:
+    """Reference gaussian Gram: the condensed ``pdist`` vector negated, divided
+    and exponentiated in place, expanded by ``squareform``, diagonal set to 1."""
+    d = pdist(np.asarray(x, dtype=float), "sqeuclidean")
+    np.negative(d, out=d)
+    d /= 2.0 * spec.width**2
+    k = squareform(np.exp(d, out=d))
+    np.fill_diagonal(k, 1.0)
+    return k
+
+
 def example8_pair(seed: int, n: int) -> GramPair:
     return gaussian_pair(standardize(generate_synthetic(get_recipe("example8", seed=seed, n=n))))
 
@@ -261,6 +272,14 @@ class TestKernelSpec:
                 KernelSpec("gaussian", width)
         KernelSpec("linear")  # no width needed
 
+    def test_rejects_a_width_whose_square_underflows(self):
+        # 2 width^2 would be 0, and the gram's diagonal 0 / 0
+        for width in (1e-162, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match=r"positive finite width \(2 width\^2 > 0\)"):
+                KernelSpec("gaussian", width)
+        k = gram(np.ones((3, 2)), KernelSpec("gaussian", 1e-161))
+        assert np.array_equal(k, np.ones((3, 3)))
+
 
 class TestGram:
     def test_gaussian_unit_diagonal(self):
@@ -289,6 +308,30 @@ class TestGram:
                 expected = np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * width**2))
                 assert np.array_equal(k, expected)
                 assert np.array_equal(np.diag(k), np.ones(x.shape[0]))
+
+    @pytest.mark.parametrize("recipe, n", [("example7", None), ("example8", 1500),
+                                           ("example8", 3000)])
+    def test_bit_equal_to_the_condensed_reference(self, recipe, n):
+        for seed in range(4):
+            data = standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n)))
+            for x in (data.view_a, data.view_b):
+                spec = KernelSpec("gaussian", median_heuristic(x))
+                k = gram(x, spec)
+                assert np.array_equal(k, condensed_gram(x, spec))
+                assert np.array_equal(k, k.T)
+
+    @settings(max_examples=400)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 89), p=st.integers(1, 40),
+           duplicate=st.booleans(), log_width=st.floats(-3.0, 3.0))
+    def test_bit_equal_to_the_condensed_reference_on_random_inputs(self, seed, n, p, duplicate,
+                                                                    log_width):
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        if duplicate:
+            x[-1] = x[0]
+        spec = KernelSpec("gaussian", 10.0**log_width)
+        k = gram(x, spec)
+        assert np.array_equal(k, condensed_gram(x, spec))
+        assert np.array_equal(k, k.T)
 
     def test_linear_is_inner_products(self):
         rng = np.random.default_rng(2)
@@ -838,6 +881,10 @@ class TestWorkingSet:
     def pair(self, data):
         spec = KernelSpec("gaussian", 3.0)
         return build_gram_pair(data, spec, spec)
+
+    def test_gram_allocates_only_its_output(self, data):
+        _, peak = traced_peak(gram, data.view_a, KernelSpec("gaussian", 3.0))
+        assert peak <= 1.05 * self.n**2
 
     def test_center_gram_allocates_only_its_output(self, data):
         k = gram(data.view_a, KernelSpec("gaussian", 3.0))

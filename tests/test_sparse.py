@@ -52,6 +52,11 @@ class TestSoftThreshold:
         with pytest.raises(ValueError, match="nonnegative"):
             soft_threshold(np.ones(3), -0.1)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, c):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            soft_threshold(np.ones(3), c)
+
     @given(st.integers(0, 500))
     def test_non_expansive(self, seed):
         rng = np.random.default_rng(seed)
@@ -134,6 +139,12 @@ class TestSparseUnitSolve:
             sparse_unit_solve(np.ones(4), 0.9)
         with pytest.raises(ValueError, match="zero coefficient"):
             sparse_unit_solve(np.zeros(4), 1.5)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        # an inactive budget is any value from sqrt(dim) up, so none needs to be infinite
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            sparse_unit_solve(np.array([3.0, -1.0, 0.5, 0.2]), budget)
 
     def test_tied_largest_entries_below_their_floor_raise(self):
         # two tied leading entries keep every thresholded unit vector's
@@ -278,6 +289,12 @@ class TestFitPmd:
         with pytest.raises(ValueError, match="non-finite"):
             fit_pmd(np.full((3, 3), np.nan), 1.5, 1.5, 1)
 
+    @pytest.mark.parametrize("budgets", [(np.nan, 1.2), (1.2, np.nan), (np.inf, 1.2),
+                                         (1.2, np.inf)])
+    def test_non_finite_budgets_rejected(self, budgets):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            fit_pmd(np.eye(3) + 0.1, *budgets, 1)
+
 
 def noise_fixture(seed: int = 0):
     data = generate_synthetic(get_recipe("example10", seed=seed))
@@ -346,6 +363,16 @@ class TestFitPrimalDual:
             fit_primal_dual(x_a, k_b, -0.1, 0.1, 0)
         with pytest.raises(ValueError, match="row counts differ"):
             fit_primal_dual(x_a, np.eye(8), 0.1, 0.1, 0)
+
+    @pytest.mark.parametrize("mu, gamma", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
+                                           (0.1, np.inf)])
+    def test_non_finite_penalties_rejected(self, mu, gamma):
+        rng = np.random.default_rng(7)
+        x_a = rng.standard_normal((10, 4))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_primal_dual(x_a, np.eye(10), mu, gamma, 0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            scan_basis(x_a, np.eye(10), mu, gamma)
 
 
 class TestScanBasis:
