@@ -295,7 +295,6 @@ def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
 def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
     from .regularized import RegularizationConfig, cross_validate, fit_regularized
 
-    data_std, _, _ = _prepare(args, seed)
     config = RegularizationConfig(
         c1_grid=_parse_grid(args.grid_c1),
         c2_grid=_parse_grid(args.grid_c2),
@@ -303,6 +302,7 @@ def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
         repetitions=args.reps,
         seed=seed,
     )
+    data_std, _, _ = _prepare(args, seed)
     surface = cross_validate(data_std, config)
     surface_path = tracker.path("cv_surface.csv")
     surface.write_csv(surface_path)
@@ -333,11 +333,13 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     )
 
     data_std, recipe, _ = _prepare(args, seed)
-    # reject the fit's arguments before the widths and Grams are computed
+    # reject the fit's arguments, then the off-route ones the report echoes,
+    # before the widths and Grams are computed
     if args.pgso:
         _check_pgso(args.kappa, args.eta, args.components)
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
+    _config_echo(args)
     spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     grams = build_gram_pair(data_std, spec_a, spec_b)
@@ -459,8 +461,6 @@ def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
     from .evaluation import biplot_export
     from .linear import SOLVERS
 
-    data_std, _, _ = _prepare(args, seed)
-    model = SOLVERS[args.solver](data_std)
     try:
         parts = [int(x) for x in args.pair.split(",")]
     except ValueError:
@@ -469,6 +469,8 @@ def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
         raise ValueError(f"--pair must have exactly two components, got {args.pair!r}")
     if min(parts) < 1:
         raise ValueError("--pair uses 1-based component numbers")
+    data_std, _, _ = _prepare(args, seed)
+    model = SOLVERS[args.solver](data_std)
     table = biplot_export(data_std, model, pair=(parts[0] - 1, parts[1] - 1), view=args.view)
     bi_path = tracker.path("biplot.csv")
     table.write_csv(bi_path)
@@ -523,7 +525,7 @@ def _add_common_args(sub):
                      help="random seed (falls back to the CCA_SEED environment variable, then 0)")
     sub.add_argument("--out", type=Path, default=Path("."),
                      help="directory for the report and CSV side files")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    sub.add_argument("--threads", type=int, default=None,
                      help="accepted and echoed in report.json; no command uses it")
 
 

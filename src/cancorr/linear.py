@@ -14,8 +14,7 @@ import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
-    COND_LIMIT, NumericalError, fix_signs, gen_eig_sym, ranked_pairs, unit_images,
-    well_conditioned,
+    COND_LIMIT, NumericalError, fix_signs, ranked_pairs, unit_images, well_conditioned
 )
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
@@ -71,21 +70,15 @@ def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def _check_conditioning(eigs: np.ndarray, name: str, ridge: float | None = None) -> None:
-    """Reject a singular block from its ascending (ridged) eigenvalues ``eigs``."""
-    if well_conditioned(eigs):
-        return
-    needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
-    if ridge is None:
+def _check_conditioning(eigs: np.ndarray, name: str, ridge: float = 0.0) -> None:
+    """Reject a singular block from its ascending eigenvalues ``eigs`` at ridge ``ridge``."""
+    if not well_conditioned(eigs):
+        needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
         raise NumericalError(
-            f"covariance block {name} is numerically singular "
+            f"covariance block {name} is numerically singular at ridge {ridge:g} "
             f"(condition estimate above {COND_LIMIT:.0e}); "
-            f"use fit_regularized with a ridge of at least {needed:.3e} on this block"
+            f"refit with fit_regularized and increase the ridge by at least {needed:.3e}"
         )
-    raise NumericalError(
-        f"covariance block {name} stays numerically singular at ridge {ridge:g}; "
-        f"increase the ridge by at least {needed:.3e}"
-    )
 
 
 def _tall_grid_svd(cross: np.ndarray, scale_rows: np.ndarray, scale_cols: np.ndarray, r: int):
@@ -147,15 +140,13 @@ class _SpectralCore:
         ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
         return w_a, w_b, s, ok
 
-    def weights(self, c1: float, c2: float, r: int, ridged: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Top ``r`` weight pairs at one ridge pair, the 1 x 1 grid of ``solve``.
-
-        A failed cell raises; ``ridged`` words the errors for fit_regularized.
-        """
+    def weights(self, c1: float, c2: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top ``r`` weight pairs at one ridge pair, the 1 x 1 grid of ``solve``;
+        a failed cell raises."""
         w_a, w_b, s, ok = self.solve([c1], [c2], r)
         if not ok[0, 0]:
-            _check_conditioning(self.values_a + c1, "C_aa", c1 if ridged else None)
-            _check_conditioning(self.values_b + c2, "C_bb", c2 if ridged else None)
+            _check_conditioning(self.values_a + c1, "C_aa", c1)
+            _check_conditioning(self.values_b + c2, "C_bb", c2)
             _clip_unit_interval(s[0, 0, :r], "singular values")
         return w_a[0, 0], w_b[0, 0]
 
@@ -258,10 +249,11 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     b = np.zeros((p + q, p + q))
     b[:p, :p] = blocks.c_aa
     b[p:, p:] = blocks.c_bb
-    res = gen_eig_sym(a, b)
-    _clip_unit_interval(res.values[:r], "leading pencil eigenvalues")
-    w_a = _unit_variance_columns(res.vectors[:p, :r], blocks.c_aa)
-    w_b = _unit_variance_columns(res.vectors[p:, :r], blocks.c_bb)
+    values, vectors = scipy.linalg.eigh(a, b)
+    top = np.argsort(-values, kind="stable")[:r]
+    _clip_unit_interval(values[top], "leading pencil eigenvalues")
+    w_a = _unit_variance_columns(vectors[:p, top], blocks.c_aa)
+    w_b = _unit_variance_columns(vectors[p:, top], blocks.c_bb)
     return _finalize(data, w_a, w_b, "generalized_eig")
 
 
@@ -276,7 +268,7 @@ def fit_svd(data: PairedDataset, r: int | None = None) -> CcaModel:
     which takes the SVD of ``M`` through the QR of its taller orientation.
     """
     blocks = covariance_blocks(data)
-    w_a, w_b = _SpectralCore(blocks).weights(0.0, 0.0, _resolve_r(r, blocks), ridged=False)
+    w_a, w_b = _SpectralCore(blocks).weights(0.0, 0.0, _resolve_r(r, blocks))
     return _finalize(data, w_a, w_b, "svd")
 
 

@@ -85,7 +85,7 @@ def fit_regularized(data: PairedDataset, c1: float, c2: float, r: int | None = N
     if not (0.0 <= c1 < np.inf and 0.0 <= c2 < np.inf):
         raise ValueError(f"ridge constants must be finite and nonnegative, got c1={c1}, c2={c2}")
     blocks = covariance_blocks(data)
-    w_a, w_b = _SpectralCore(blocks).weights(c1, c2, _resolve_r(r, blocks), ridged=True)
+    w_a, w_b = _SpectralCore(blocks).weights(c1, c2, _resolve_r(r, blocks))
     return _finalize(data, w_a, w_b, f"ridge(c1={c1:g},c2={c2:g})")
 
 

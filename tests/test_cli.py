@@ -268,6 +268,17 @@ class TestSimulateCommand:
 
 
 class TestKccaCommand:
+    @pytest.fixture
+    def no_kernel_work(self, monkeypatch):
+        """Make computing a kernel width or a Gram pair fail the test."""
+        import cancorr.kernel
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
+
+        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
+        monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
+
     def test_median_width_gaussian_fit(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--seed", "0", "--out", tmp_path)
         assert rc == 0
@@ -330,15 +341,8 @@ class TestKccaCommand:
         (("--recipe-n", "300", "--c1", "0"), "positive ridges"),
         (("--recipe-n", "300", "--pgso", "--kappa", "0"), "kappa must be positive"),
     ], ids=["direct-n", "direct-ridge", "pgso-kappa"])
-    def test_fit_arguments_rejected_before_any_gram(self, tmp_path, monkeypatch, capsys,
+    def test_fit_arguments_rejected_before_any_gram(self, tmp_path, capsys, no_kernel_work,
                                                     argv, message):
-        import cancorr.kernel
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
-
-        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
-        monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
         assert run("kcca", "--recipe", "example8", "--seed", "0", *argv,
                    "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
@@ -351,15 +355,8 @@ class TestKccaCommand:
         (("--pgso", "--eta", "inf"), "eta must be finite and nonnegative"),
         (("--pgso", "--eta", "-1"), "eta must be finite and nonnegative"),
     ], ids=["c1-nan", "c2-inf", "kappa-nan", "eta-nan", "eta-inf", "eta-negative"])
-    def test_non_finite_arguments_rejected_before_any_width(self, tmp_path, monkeypatch, capsys,
-                                                            argv, message):
-        import cancorr.kernel
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
-
-        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
-        monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
+    def test_non_finite_arguments_rejected_before_any_width(self, tmp_path, capsys,
+                                                            no_kernel_work, argv, message):
         assert run("kcca", "--recipe", "example7", "--seed", "0", *argv,
                    "--out", tmp_path) == 2
         assert message in capsys.readouterr().err
@@ -371,11 +368,15 @@ class TestKccaCommand:
         (("--pgso", "--c1=inf"), "--c1"),
         (("--pgso", "--c2=nan"), "--c2"),
     ], ids=["direct-eta", "direct-kappa", "pgso-c1", "pgso-c2"])
-    def test_off_route_non_finite_argument_rejected(self, tmp_path, capsys, argv, flag):
-        # the route ignores the argument, but the report echoes it, and JSON has no NaN
+    def test_off_route_non_finite_argument_rejected(self, tmp_path, capsys, no_kernel_work,
+                                                    argv, flag):
+        # the route ignores the argument, but the report echoes it, and JSON
+        # has no NaN: the echo refuses it before any width, Gram or fit
         assert run("kcca", "--recipe", "example7", "--seed", "0", *argv,
                    "--out", tmp_path) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite" in captured.err
+        assert "correlations" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_sigma_rejected(self, tmp_path):
@@ -505,6 +506,24 @@ class TestTestAndBiplotCommands:
 
 
 class TestErrorExits:
+    @pytest.mark.parametrize("argv, message", [
+        (("biplot", "--pair", "1,x"), "--pair must be two"),
+        (("biplot", "--pair", "0,2"), "1-based"),
+        (("cv", "--grid-c1", "log:1e-3:1e3"), "must look like"),
+        (("cv", "--folds", "1"), "at least 2 folds"),
+    ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds"])
+    def test_data_free_flags_refused_before_loading(self, tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data loaded for a config that is refused")
+
+        monkeypatch.setattr(cli, "_prepare", unreachable)
+        command, *flags = argv
+        assert run(command, "--recipe", "example1", "--seed", "0", *flags,
+                   "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_row_count_mismatch_names_both_files(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         path_a = tmp_path / "a.csv"
@@ -641,6 +660,15 @@ class TestReproducibility:
         assert snapshot(tmp_path) == first
         assert set(first) == {"report.json", "significance.csv",
                               "weights_a.csv", "weights_b.csv"}
+
+    def test_report_does_not_depend_on_the_core_count(self, tmp_path, monkeypatch):
+        reports = []
+        for cores in (1, 8):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+            assert run("fit", "--recipe", "example1", "--seed", "0", "--out", tmp_path) == 0
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["threads"] is None
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         out_env = tmp_path / "env"

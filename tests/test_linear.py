@@ -153,15 +153,58 @@ class TestModelInvariants:
 
     def test_singular_block_error_names_ridge(self):
         data = random_dataset(0, 20, 30, 2)  # p > n makes C_aa singular
+        messages = set()
         for solver in ALL_SOLVERS:
-            with pytest.raises(NumericalError, match="fit_regularized"):
+            with pytest.raises(NumericalError, match="fit_regularized") as info:
                 solver(data)
+            messages.add(str(info.value))
+        # one gate words every solver's refusal alike
+        assert len(messages) == 1
+        message = messages.pop()
+        assert message.startswith("covariance block C_aa is numerically singular at ridge 0 ")
+        assert "increase the ridge by at least" in message
 
     def test_solver_labels(self):
         data = random_dataset(3, 25, 2, 2)
         assert fit_standard_eig(data).solver == "standard_eig"
         assert fit_generalized_eig(data).solver == "generalized_eig"
         assert fit_svd(data).solver == "svd"
+
+
+def near_collinear(eps: float, seed: int, n: int = 200) -> PairedDataset:
+    """View a holds ``a0`` and ``a0 + eps * xi``, so cond(C_aa) grows as
+    eps**-2 and crosses COND_LIMIT near eps = 2e-5; view b holds five noisy
+    copies of one signal that also carries ``0.3 * a0``."""
+    rng = np.random.default_rng(seed)
+    a0 = rng.standard_normal(n)
+    xi = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    xi_k = rng.standard_normal((n, 5))
+    view_a = np.column_stack([a0, a0 + eps * xi])
+    view_b = z[:, None] + 0.05 * xi_k + 0.3 * a0[:, None]
+    return standardize(PairedDataset(view_a, view_b))
+
+
+class TestOneConditioningGate:
+    @pytest.mark.parametrize("eps", [2e-5, 5e-5, 1e-4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solvers_fit_or_refuse_together(self, eps, seed):
+        # the pencil's B spans both blocks' spectra, so a test on B alone
+        # refuses blocks that pass one by one (eps = 2e-5, seeds 0 and 2)
+        data = near_collinear(eps, seed)
+        outcomes = []
+        for solver in ALL_SOLVERS:
+            try:
+                outcomes.append(solver(data).correlations)
+            except NumericalError as exc:
+                assert "C_aa is numerically singular at ridge 0" in str(exc)
+                outcomes.append(None)
+        if outcomes[0] is None:
+            assert outcomes == [None] * 3
+        else:
+            assert all(o is not None for o in outcomes)
+            for other in outcomes[1:]:
+                assert np.abs(other - outcomes[0]).max() <= 1e-10
 
 
 class TestPencilSpectrum:

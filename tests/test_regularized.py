@@ -79,7 +79,7 @@ def scalar_cross_validate(data: PairedDataset, config: RegularizationConfig):
             for i, c1 in enumerate(config.c1_grid):
                 for j, c2 in enumerate(config.c2_grid):
                     try:
-                        w_a, w_b = core.weights(c1, c2, 1, ridged=True)
+                        w_a, w_b = core.weights(c1, c2, 1)
                         model = _finalize(train, w_a, w_b, "cv")
                         fold_scores[f, i, j] = project(model, test).correlations[0]
                     except NumericalError:
@@ -161,8 +161,11 @@ class TestFitRegularized:
         assert crushed < moderate
 
     def test_insufficient_ridge_reports_needed_increase(self):
-        with pytest.raises(NumericalError, match="increase the ridge"):
+        with pytest.raises(NumericalError, match="increase the ridge") as info:
             fit_regularized(example6(0), 1e-13, 0.0)
+        message = str(info.value)
+        assert message.startswith("covariance block C_aa is numerically singular at ridge 1e-13 ")
+        assert "increase the ridge by at least" in message
 
     def test_negative_ridge_rejected(self):
         data = example6(0)
