@@ -293,6 +293,7 @@ def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
+    from .linear import _resolve_r
     from .regularized import RegularizationConfig, cross_validate, fit_regularized
 
     config = RegularizationConfig(
@@ -303,6 +304,8 @@ def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
         seed=seed,
     )
     data_std, _, _ = _prepare(args, seed)
+    # the refit's component count is refused before the grid is searched
+    _resolve_r(args.components, data_std)
     surface = cross_validate(data_std, config)
     surface_path = tracker.path("cv_surface.csv")
     surface.write_csv(surface_path)

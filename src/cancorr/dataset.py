@@ -41,20 +41,21 @@ class Standardizer:
             view_b=(data.view_b - self.mean_b) / self.std_b,
             names_a=data.names_a,
             names_b=data.names_b,
-            standardized=True,
             scaler=self,
         )
 
 
 @dataclass(frozen=True)
 class PairedDataset:
-    """Two views of the same observations, one row per observation."""
+    """Two views of the same observations, one row per observation.
+
+    ``scaler`` holds the :class:`Standardizer` that produced the views, if any.
+    """
 
     view_a: np.ndarray
     view_b: np.ndarray
     names_a: tuple[str, ...] = ()
     names_b: tuple[str, ...] = ()
-    standardized: bool = False
     scaler: Standardizer | None = None
 
     def __post_init__(self):
@@ -79,6 +80,10 @@ class PairedDataset:
             raise ValueError("variable name counts do not match column counts")
         object.__setattr__(self, "names_a", names_a)
         object.__setattr__(self, "names_b", names_b)
+
+    @property
+    def standardized(self) -> bool:
+        return self.scaler is not None
 
     @property
     def n(self) -> int:

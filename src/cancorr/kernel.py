@@ -3,7 +3,8 @@ reduced-rank route through pivoted incomplete Cholesky factors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -171,7 +172,8 @@ class KernelCcaModel:
 
 
 def _assemble_kernel_model(
-    grams: GramPair, alpha: np.ndarray, beta: np.ndarray, solver: str, reg: dict
+    grams: GramPair, alpha: np.ndarray, beta: np.ndarray, solver: str, reg: dict,
+    *, factor_columns: tuple[int, ...] = (), residual_traces: tuple[float, ...] = (),
 ) -> KernelCcaModel:
     """Orient and rank the pairs (``ranked_pairs``), then rescale the duals to unit-norm images."""
     alpha, beta, corr, z_a, z_b, norm_a, norm_b = ranked_pairs(
@@ -187,31 +189,38 @@ def _assemble_kernel_model(
         z_b=z_b,
         solver=solver,
         regularization=tuple(sorted((k, float(v)) for k, v in reg.items())),
+        factor_columns=factor_columns,
+        residual_traces=residual_traces,
     )
 
 
 def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
-    """``(K + c I)^-1`` through LAPACK's Cholesky, once ``K + c I`` passes the
-    ``COND_LIMIT`` test the linear spectral core applies to ``C + c I``.
+    """``(K + c I)^-1`` through its Cholesky factor (scipy's SPD inverse), once
+    ``K + c I`` passes the ``COND_LIMIT`` test the linear spectral core applies
+    to ``C + c I``.
 
     For a symmetric matrix the 2-norm is at most the inf-norm, so
     ``(||K||_inf + c) ||(K + c I)^-1||_inf < COND_LIMIT`` proves the test
     without the spectrum.  When that bound does not hold, or the factorisation
-    fails, the ridged eigenvalues decide.  The factorisation works on a
+    fails, the ridged eigenvalues decide.  The inverse overwrites a
     Fortran-order copy of ``k.T``, a plain copy of the buffer, and so reads
     the upper triangle of ``k``; ``GramPair`` holds the two triangles within
     ``SYM_RTOL``.
     """
-    lapack = scipy.linalg.lapack
     work = np.array(k.T, order="F")
-    norm = lapack.dlange("I", work) + c
+    norm = scipy.linalg.norm(work, np.inf, check_finite=False) + c
     work[np.diag_indices_from(work)] += c
-    factor, info = lapack.dpotrf(work, lower=1, overwrite_a=1)
-    if info == 0:
-        inverse, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
-    if info == 0:
-        _mirror_lower(inverse)
-        if norm * lapack.dlange("I", inverse) < COND_LIMIT:
+    # a tiny reciprocal condition estimate warns; the COND_LIMIT test decides instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        try:
+            inverse = scipy.linalg.inv(
+                work, assume_a="pos", lower=True, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            inverse = None
+    if inverse is not None:
+        if norm * scipy.linalg.norm(inverse, np.inf, check_finite=False) < COND_LIMIT:
             return inverse
     ridged = scipy.linalg.eigvalsh(k, lower=False) + c
     if not well_conditioned(ridged):
@@ -220,23 +229,9 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
             f"(ridged gram eigenvalue range [{ridged[0]:.3e}, {ridged[-1]:.3e}]); "
             "add ridge regularisation to the constraint blocks"
         )
-    if info != 0:
-        raise NumericalError(
-            f"the Cholesky factorisation of a ridged gram failed (LAPACK info {info})"
-        )
+    if inverse is None:
+        raise NumericalError("the Cholesky factorisation of a ridged gram failed")
     return inverse
-
-
-def _mirror_lower(a: np.ndarray) -> None:
-    """Copy the lower triangle of a square matrix onto its upper one, in place,
-    one ``SYM_BLOCK``-column panel at a time."""
-    n = a.shape[0]
-    for start in range(0, n, SYM_BLOCK):
-        stop = min(start + SYM_BLOCK, n)
-        diagonal = a[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        diagonal[upper] = diagonal.T[upper]
-        a[start:stop, stop:] = a[stop:, start:stop].T
 
 
 def _check_direct(n: int, c1: float, c2: float, r: int) -> None:
@@ -299,10 +294,12 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
 def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a reduced gram block, computed in place when
     ``block`` is in F order."""
-    factor, info = scipy.linalg.lapack.dpotrf(block, lower=1, overwrite_a=1)
-    if info != 0:
-        raise NumericalError("a reduced gram block is singular; decrease eta or increase kappa")
-    return factor
+    try:
+        return scipy.linalg.cholesky(block, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NumericalError(
+            "a reduced gram block is singular; decrease eta or increase kappa"
+        ) from None
 
 
 def _check_pgso(kappa: float, eta: float | None, r: int) -> None:
@@ -381,11 +378,8 @@ def fit_kernel_cca_pgso(
     # minimum-norm duals in the full space
     alpha = r_a @ scipy.linalg.cho_solve((s, True), alpha_red)
     beta = r_b @ scipy.linalg.cho_solve((bb_plain, True), beta_red)
-    model = _assemble_kernel_model(
-        grams, alpha, beta, "kernel_pgso", {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b}
-    )
-    return replace(
-        model,
+    return _assemble_kernel_model(
+        grams, alpha, beta, "kernel_pgso", {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b},
         factor_columns=(r_a.shape[1], r_b.shape[1]),
         residual_traces=tuple(float(np.maximum(residual_diagonal(k, f), 0.0).sum())
                               for k, f in ((grams.k_a, r_a), (grams.k_b, r_b))),

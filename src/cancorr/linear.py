@@ -71,13 +71,22 @@ def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_conditioning(eigs: np.ndarray, name: str, ridge: float = 0.0) -> None:
-    """Reject a singular block from its ascending eigenvalues ``eigs`` at ridge ``ridge``."""
+    """Reject a singular block from its ascending eigenvalues ``eigs`` at ridge ``ridge``.
+
+    The refusal names the increase ``d`` the ridge needs: the test passes once
+    ``eigs[0] + d > (eigs[-1] + d) / COND_LIMIT``, and the amount shown is
+    rounded up to four digits, so that it passes.
+    """
     if not well_conditioned(eigs):
-        needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0)
+        needed = max(eigs[-1] / COND_LIMIT - eigs[0], 0.0) / (1.0 - 1.0 / COND_LIMIT)
+        shown = f"{needed:.3e}"
+        if float(shown) <= needed:
+            mantissa, exponent = shown.split("e")
+            shown = f"{(float(mantissa) + 1e-3) * 10.0 ** int(exponent):.3e}"
         raise NumericalError(
             f"covariance block {name} is numerically singular at ridge {ridge:g} "
             f"(condition estimate above {COND_LIMIT:.0e}); "
-            f"refit with fit_regularized and increase the ridge by at least {needed:.3e}"
+            f"refit with fit_regularized and increase the ridge by at least {shown}"
         )
 
 
@@ -158,7 +167,7 @@ def _unit_variance_columns(w: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return w / np.sqrt(scale)
 
 
-def _resolve_r(r: int | None, blocks: CovarianceBlocks) -> int:
+def _resolve_r(r: int | None, blocks: CovarianceBlocks | PairedDataset) -> int:
     limit = min(blocks.p, blocks.q)
     if r is None:
         return limit

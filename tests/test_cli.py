@@ -21,6 +21,7 @@ import pytest
 
 import cancorr.cli as cli
 import cancorr.linear
+import cancorr.regularized
 from cancorr import __version__
 from cancorr.cli import _parse_grid, main
 from cancorr.dataset import (
@@ -159,6 +160,7 @@ class TestFitCommand:
             solver = next(a for a in subs.choices[command]._actions if a.dest == "solver")
             assert list(solver.choices) == sorted(cancorr.linear.SOLVERS)
         assert sorted(cancorr.linear.SOLVERS) == ["eig", "geneig", "svd"]
+        assert cli.SOLVER_NAMES == tuple(cancorr.linear.SOLVERS)
 
 
 class TestCvCommand:
@@ -221,6 +223,20 @@ class TestCvCommand:
                  "--out", tmp_path)
         assert rc == 2
         assert "finite and nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("components", [11, 0])
+    def test_components_refused_before_the_search(self, tmp_path, capsys, monkeypatch,
+                                                  components):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the ridge grid was searched before --components was checked")
+
+        monkeypatch.setattr(cancorr.regularized, "cross_validate", unreachable)
+        rc = run("cv", "--recipe", "example6", "--seed", "0", "--components", components,
+                 "--out", tmp_path)
+        assert rc == 2
+        assert (f"components must satisfy 1 <= r <= min(p, q) = 10, got {components}"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -1,6 +1,7 @@
 """Kernel CCA: Gram construction, centering, widths, both solver routes, relation tables."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -605,9 +606,22 @@ class TestFitKernelCca:
 
     def test_failed_factorisation_always_raises(self, monkeypatch):
         pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+
+        def failing_inverse(*args, **kwargs):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "inv", failing_inverse)
         with pytest.raises(NumericalError, match="Cholesky factorisation of a ridged gram failed"):
             fit_kernel_cca(pair, 0.6, 0.6, 1)
+
+    def test_near_singular_inverse_refused_without_a_warning(self):
+        # at c = 1e-14 the rank-3 Grams' SPD inverse estimates a reciprocal
+        # condition below eps and warns; the COND_LIMIT test refuses the block
+        _, pair = linear_pair_60x3()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="B is not positive definite"):
+                fit_kernel_cca(pair, 1e-14, 1e-14, 3)
 
     def test_model_geometry(self):
         data = generate_synthetic(get_recipe("example7", seed=2))

@@ -9,6 +9,7 @@ from cancorr import (
     NumericalError,
     PairedDataset,
     fit_generalized_eig,
+    fit_regularized,
     fit_standard_eig,
     fit_svd,
     generate_synthetic,
@@ -205,6 +206,15 @@ class TestOneConditioningGate:
             assert all(o is not None for o in outcomes)
             for other in outcomes[1:]:
                 assert np.abs(other - outcomes[0]).max() <= 1e-10
+
+    def test_refusal_asks_for_a_sufficient_ridge(self):
+        # the amount is printed to four digits; parsed back, it must fit
+        for seed in range(16):
+            data = standardize(generate_synthetic(get_recipe("example6", seed=seed)))
+            with pytest.raises(NumericalError, match="increase the ridge by at least") as exc:
+                fit_svd(data)
+            amount = float(str(exc.value).rsplit(" ", 1)[1])
+            fit_regularized(data, amount, 0.0)
 
 
 class TestPencilSpectrum:
