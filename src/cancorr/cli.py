@@ -155,8 +155,6 @@ def _split_train_test(data: PairedDataset, fraction: float | None, seed: int):
     """Seeded row split; the split stream is decoupled from the generation stream."""
     if fraction is None:
         return data, None
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"--test-split must lie strictly between 0 and 1, got {fraction}")
     m = int(round(data.n * fraction))
     if m < 2 or data.n - m < 3:
         raise ValueError(f"test split of {m} rows leaves too little data (n = {data.n})")
@@ -239,19 +237,18 @@ def _config_echo(args) -> dict:
     return config
 
 
-def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[KernelSpec, float | None]:
+def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> KernelSpec:
     from .kernel import KernelSpec, median_heuristic
 
     if kind == "linear":
-        return KernelSpec("linear"), None
+        return KernelSpec("linear")
     if sigma == "median":
-        width = median_heuristic(view)
-    else:
-        try:
-            width = float(sigma)
-        except ValueError:
-            raise ValueError(f"--sigma-{label} must be 'median' or a number, got {sigma!r}") from None
-    return KernelSpec("gaussian", width=width), width
+        return KernelSpec("gaussian", width=median_heuristic(view))
+    try:
+        width = float(sigma)
+    except ValueError:
+        raise ValueError(f"--sigma-{label} must be 'median' or a number, got {sigma!r}") from None
+    return KernelSpec("gaussian", width=width)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +258,16 @@ def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> tuple[K
 def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
     from .linear import SOLVERS, project
 
+    if args.test_split is not None and not 0.0 < args.test_split < 1.0:
+        raise ValueError(
+            f"--test-split must lie strictly between 0 and 1, got {args.test_split}"
+        )
     train_std, _, test = _prepare(args, seed)
+    limit = min(train_std.p, train_std.q)
+    r = limit if args.components is None else args.components
+    if not 1 <= r <= limit:
+        raise ValueError(f"--components must lie in [1, {limit}], got {r}")
     model = SOLVERS[args.solver](train_std)
-    r = model.r if args.components is None else args.components
-    if not 1 <= r <= model.r:
-        raise ValueError(f"--components must lie in [1, {model.r}], got {r}")
     sliced = _slice_model(model, r)
     significance = _significance(args, model, train_std.n, tracker)
     wa_path = tracker.path("weights_a.csv")
@@ -343,8 +345,8 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
     _config_echo(args)
-    spec_a, width_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
-    spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
+    spec_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
+    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     grams = build_gram_pair(data_std, spec_a, spec_b)
     if args.pgso:
         model = fit_kernel_cca_pgso(grams, kappa=args.kappa, eta=args.eta, r=args.components)
@@ -352,8 +354,8 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
         model = fit_kernel_cca(grams, c1=args.c1, c2=args.c2, r=args.components)
     report = {
         "solver": model.solver,
-        "kernel_width_a": width_a,
-        "kernel_width_b": width_b,
+        "kernel_width_a": spec_a.width,
+        "kernel_width_b": spec_b.width,
         "correlations": model.correlations,
         "regularization": dict(model.regularization),
         "files": {},
@@ -373,11 +375,11 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
             "correlations": table.correlations,
         }
     print("correlations:", " ".join("%.6f" % c for c in model.correlations))
-    if width_a is not None:
-        print("sigma_a=%.6f" % width_a, end=" ")
-    if width_b is not None:
-        print("sigma_b=%.6f" % width_b, end="")
-    if width_a is not None or width_b is not None:
+    if spec_a.width is not None:
+        print("sigma_a=%.6f" % spec_a.width, end=" ")
+    if spec_b.width is not None:
+        print("sigma_b=%.6f" % spec_b.width, end="")
+    if spec_a.width is not None or spec_b.width is not None:
         print()
     return report
 
@@ -411,7 +413,7 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
     from .sparse import fit_primal_dual, scan_basis
 
     data_std, _, _ = _prepare(args, seed)
-    spec_b, width_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
+    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     k_b = center_gram(gram(data_std.view_b, spec_b))
     x_a = data_std.view_a
     default_pen = 0.1 * float(np.abs(x_a.T @ k_b).max())
@@ -426,7 +428,7 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
     report = {
         "mu": mu,
         "gamma": gamma,
-        "kernel_width_b": width_b,
+        "kernel_width_b": spec_b.width,
         "basis_index": result.basis_index,
         "objective": result.objective,
         "correlation": result.correlation,

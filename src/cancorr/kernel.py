@@ -14,7 +14,8 @@ from scipy.spatial.distance import cdist, pdist
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
     COND_LIMIT, SYM_BLOCK, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
-    pearson_columns, ranked_pairs, residual_diagonal, top_svd, well_conditioned,
+    pearson_columns, ranked_pairs, require_components, residual_diagonal, top_svd,
+    well_conditioned,
 )
 
 # The direct fit inverts two ridged n x n Grams and forms an n x n product
@@ -280,11 +281,7 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
     product = shrunk_a @ shrunk_b
     del shrunk_a, shrunk_b
     res = top_svd(product, r)
-    if res.s[r - 1] <= 1e-12:
-        raise NumericalError(
-            f"only {int(np.sum(res.s > 1e-12))} positive pencil eigenvalues available, "
-            f"fewer than the requested {r} components"
-        )
+    require_components(res.s, r)
     duals = fix_signs(np.vstack([inverse_a @ res.u, inverse_b @ res.v]))
     return _assemble_kernel_model(
         grams, duals[:n], duals[n:], "kernel_pencil", {"c1": c1, "c2": c2}
@@ -365,14 +362,8 @@ def fit_kernel_cca_pgso(
     whitened = blas.dtrsm(1.0, l_b, whitened, side=1, lower=1, trans_a=1, overwrite_b=1)
     del l_b
     # a factor without columns (eta >= trace) leaves nothing to decompose
-    usable = 0
-    if min(whitened.shape):
-        res = top_svd(whitened, min(r, *whitened.shape))
-        usable = int(np.sum(res.s**2 > 1e-12))
-    if usable < r:
-        raise NumericalError(
-            f"reduced problem supports only {usable} components, fewer than the requested {r}"
-        )
+    res = top_svd(whitened, min(r, *whitened.shape)) if min(whitened.shape) else None
+    require_components(res.s if res else (), r)
     alpha_red = scipy.linalg.solve_triangular(s, res.u, lower=True, trans="T")
     beta_red = scipy.linalg.cho_solve((bb_plain, True), r_b.T @ (r_a @ alpha_red)) / res.s
     # minimum-norm duals in the full space

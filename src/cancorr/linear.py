@@ -14,7 +14,8 @@ import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
-    COND_LIMIT, NumericalError, fix_signs, ranked_pairs, unit_images, well_conditioned
+    COND_LIMIT, NumericalError, fix_signs, ranked_pairs, require_components, unit_images,
+    well_conditioned,
 )
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
@@ -201,12 +202,8 @@ def _eig_core(c_first: np.ndarray, c_second: np.ndarray, c_fs: np.ndarray, r: in
     values = values.real
     vectors = vectors.real
     order = np.argsort(-values, kind="stable")[:r]
-    rho2 = _clip_unit_interval(values[order], "squared correlations")
-    rho = np.sqrt(rho2)
-    if np.any(rho < 1e-12):
-        raise NumericalError(
-            "requested components exceed the numerical rank of the cross-covariance"
-        )
+    rho = np.sqrt(_clip_unit_interval(values[order], "squared correlations"))
+    require_components(rho, r)
     w_second = _unit_variance_columns(vectors[:, order], c_second)
     w_first = np.linalg.solve(c_first, c_fs @ w_second) / rho
     w_first = _unit_variance_columns(w_first, c_first)

@@ -94,6 +94,15 @@ def well_conditioned(values: np.ndarray) -> np.ndarray:
     return (values[..., -1] > 0) & (values[..., 0] > values[..., -1] / COND_LIMIT)
 
 
+def require_components(correlations, r: int) -> None:
+    """Raise ``NumericalError`` unless at least ``r`` of ``correlations`` exceed 1e-12."""
+    usable = int(np.count_nonzero(np.asarray(correlations) > 1e-12))
+    if usable < r:
+        raise NumericalError(
+            f"the fit supports only {usable} components, fewer than the requested {r}"
+        )
+
+
 def unit_images(z_a: np.ndarray, z_b: np.ndarray):
     """Unit-normalise paired image columns and take their cosines.
 

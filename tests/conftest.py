@@ -52,6 +52,26 @@ def random_standardized(seed: int, n: int, p: int, q: int):
     )
 
 
+def weak_second_relation(eps: float, seed: int, n: int = 40):
+    """Standardized two-column views whose second canonical correlation is about ``eps``.
+
+    View a is two standard-normal columns; ``b1 = a1 + 0.3 noise`` carries the
+    first relation, and ``b2 = e + eps a2``, with ``e`` noise projected off
+    ``[1, a1, a2, b1]`` and scaled to norm ``sqrt(n)``, carries the second.  At
+    ``eps = 0`` the second correlation is zero up to roundoff.
+    """
+    from cancorr import PairedDataset, standardize
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, 2))
+    b1 = a[:, 0] + 0.3 * rng.standard_normal(n)
+    e = rng.standard_normal(n)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(n), a, b1]))
+    e -= basis @ (basis.T @ e)
+    e *= np.sqrt(n) / np.linalg.norm(e)
+    return standardize(PairedDataset(a, np.column_stack([b1, e + eps * a[:, 1]])))
+
+
 def one_dominant(table: np.ndarray, thresh: float = 0.7) -> bool:
     """Every row has exactly one |entry| >= thresh and the hit columns are distinct."""
     table = np.abs(np.asarray(table, dtype=float))

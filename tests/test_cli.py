@@ -85,6 +85,10 @@ class TestGridGrammar:
             _parse_grid(text)
 
 
+def unreachable_solver(*args, **kwargs):
+    raise AssertionError("the solver ran before --components was checked")
+
+
 class TestFitCommand:
     def test_planted_recipe_matches_expected_band(self, tmp_path):
         rc = run("fit", "--recipe", "example1", "--seed", "7", "--solver", "svd",
@@ -127,17 +131,41 @@ class TestFitCommand:
         assert len(gen["test_correlations"]) == 3
         assert min(gen["test_correlations"]) >= 0.9
 
-    def test_component_bound_is_validated(self, tmp_path):
+    def test_component_bound_is_validated(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cancorr.linear.SOLVERS, "svd", unreachable_solver)
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "9",
                  "--out", tmp_path)
         assert rc == 2
+        assert "--components must lie in [1, 3], got 9" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_zero_components_rejected(self, tmp_path, capsys):
+    def test_zero_components_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(cancorr.linear.SOLVERS, "svd", unreachable_solver)
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "0",
                  "--out", tmp_path)
         assert rc == 2
         assert "--components must lie in [1, 3], got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fewer_components_are_the_leading_ones_of_the_full_fit(self, tmp_path):
+        argv = ("fit", "--recipe", "example1", "--recipe-n", "100", "--seed", "0",
+                "--test-split", "0.4")
+        assert run(*argv, "--out", tmp_path / "full") == 0
+        assert run(*argv, "--components", "2", "--out", tmp_path / "two") == 0
+        full, two = report_of(tmp_path / "full"), report_of(tmp_path / "two")
+        assert two["correlations"] == full["correlations"][:2]
+        for name in ("weights_a.csv", "weights_b.csv"):
+            assert csv_rows(tmp_path / "two" / name)[0] == ["variable", "comp1", "comp2"]
+        assert len(two["generalization"]["test_correlations"]) == 2
+        # the significance test still runs on the full spectrum
+        assert len(two["significance"]["steps"]) == 3
+
+    def test_too_small_test_split_refused(self, tmp_path, capsys):
+        rc = run("fit", "--recipe", "example1", "--recipe-n", "4", "--seed", "0",
+                 "--test-split", "0.4", "--out", tmp_path)
+        assert rc == 2
+        assert ("test split of 2 rows leaves too little data (n = 4)"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_solver_choice_echoed(self, tmp_path):
@@ -202,6 +230,19 @@ class TestCvCommand:
         assert rc == 3
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "cv_surface.csv").exists()
+
+    def test_refit_failure_reported_in_the_report(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise NumericalError("refit refused")
+
+        monkeypatch.setattr(cancorr.regularized, "fit_regularized", refused)
+        rc = run("cv", "--recipe", "example6", "--seed", "0", "--grid-c1", "0.1,1",
+                 "--grid-c2", "0.1,1", "--folds", "2", "--reps", "1", "--out", tmp_path)
+        assert rc == 0
+        rep = report_of(tmp_path)
+        assert rep["refit_correlations"] is None
+        assert rep["refit_error"] == "refit refused"
+        assert "refit correlations" not in capsys.readouterr().out
 
     def test_thread_count_does_not_change_results(self, tmp_path):
         outs = {}
@@ -399,6 +440,11 @@ class TestKccaCommand:
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)
         assert rc == 2
 
+    def test_non_positive_sigma_keeps_the_kernel_message(self, tmp_path, capsys):
+        rc = run("kcca", "--recipe", "example7", "--sigma-a", "-1", "--out", tmp_path)
+        assert rc == 2
+        assert "gaussian kernel needs a positive finite width" in capsys.readouterr().err
+
 
 class TestPmdCommand:
     def test_planted_pairs_recovered_with_tight_budgets(self, tmp_path):
@@ -527,7 +573,8 @@ class TestErrorExits:
         (("biplot", "--pair", "0,2"), "1-based"),
         (("cv", "--grid-c1", "log:1e-3:1e3"), "must look like"),
         (("cv", "--folds", "1"), "at least 2 folds"),
-    ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds"])
+        (("fit", "--test-split", "1.5"), "strictly between 0 and 1"),
+    ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds", "fit-split"])
     def test_data_free_flags_refused_before_loading(self, tmp_path, monkeypatch, capsys,
                                                     argv, message):
         def unreachable(*args, **kwargs):

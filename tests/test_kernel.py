@@ -36,7 +36,7 @@ from cancorr.numerics import (
     LANCZOS_MIN_ROWS, SYM_RTOL, SvdResult, check_symmetric, fix_signs, lead_signs,
     partial_gram_schmidt, top_svd, well_conditioned,
 )
-from tests.conftest import one_dominant, traced_peak
+from tests.conftest import one_dominant, traced_peak, weak_second_relation
 from tests.test_numerics import dense_top_svd, scalar_partial_gram_schmidt
 
 
@@ -491,7 +491,7 @@ class TestFitKernelCca:
 
     def test_rank_shortage_reported_above_the_crossover(self, eigen_calls):
         pair = linear_pair_rank3(LANCZOS_MIN_ROWS + 100)
-        with pytest.raises(NumericalError, match="only 3 positive pencil eigenvalues"):
+        with pytest.raises(NumericalError, match="supports only 3 components"):
             fit_kernel_cca(pair, 0.1, 0.1, 5)
         assert ("eigsh", False) in eigen_calls
 
@@ -510,7 +510,7 @@ class TestFitKernelCca:
         )
         pair = build_gram_pair(tiny, KernelSpec("linear"), KernelSpec("linear"))
         for r in (2, 3):
-            with pytest.raises(NumericalError, match="only 1 positive pencil eigenvalues"):
+            with pytest.raises(NumericalError, match="supports only 1 components"):
                 fit_kernel_cca(pair, 0.1, 0.1, r)
 
     def test_each_view_conditioned_on_its_own_ridged_spectrum(self):
@@ -824,6 +824,16 @@ class TestFitKernelCcaPgso:
         pair = build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
         with pytest.raises(NumericalError, match="supports only"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weak_component_kept_at_the_shared_floor(self, seed):
+        # a second correlation near 1e-8 lies above the 1e-12 floor every
+        # component-counting fit applies, so PGSO keeps it as fit_svd does
+        data = weak_second_relation(1e-8, seed)
+        pair = build_gram_pair(data, KernelSpec("linear"), KernelSpec("linear"))
+        model = fit_kernel_cca_pgso(pair, kappa=1e-3, eta=0.0, r=2)
+        assert model.correlations.shape == (2,)
+        assert model.correlations[1] == pytest.approx(fit_svd(data).correlations[1], rel=1e-3)
 
     def test_empty_factor_reported_as_shortage(self):
         # eta at the trace stops both factorisations before their first column

@@ -21,6 +21,7 @@ from cancorr import (
 from cancorr.dataset import covariance_blocks
 from cancorr.linear import CLIP_TOL, _SpectralCore
 from cancorr.numerics import gen_eig_sym, well_conditioned
+from tests.conftest import weak_second_relation
 
 ALL_SOLVERS = (fit_standard_eig, fit_generalized_eig, fit_svd)
 
@@ -215,6 +216,20 @@ class TestOneConditioningGate:
                 fit_svd(data)
             amount = float(str(exc.value).rsplit(" ", 1)[1])
             fit_regularized(data, amount, 0.0)
+
+
+class TestComponentFloor:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_correlation_refused_by_eig_only(self, seed):
+        # eig divides by rho and counts components at the shared floor; svd and
+        # geneig stay defined at rho = 0 and return the full min(p, q) spectrum
+        data = weak_second_relation(0.0, seed)
+        with pytest.raises(NumericalError, match="supports only 1 components"):
+            fit_standard_eig(data)
+        for solver in (fit_svd, fit_generalized_eig):
+            rho = solver(data).correlations
+            assert rho.shape == (2,)
+            assert rho[1] < 1e-12
 
 
 class TestPencilSpectrum:
