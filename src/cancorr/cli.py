@@ -256,17 +256,14 @@ def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> KernelS
 
 
 def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
-    from .linear import SOLVERS, project
+    from .linear import SOLVERS, _resolve_r, project
 
     if args.test_split is not None and not 0.0 < args.test_split < 1.0:
         raise ValueError(
             f"--test-split must lie strictly between 0 and 1, got {args.test_split}"
         )
     train_std, _, test = _prepare(args, seed)
-    limit = min(train_std.p, train_std.q)
-    r = limit if args.components is None else args.components
-    if not 1 <= r <= limit:
-        raise ValueError(f"--components must lie in [1, {limit}], got {r}")
+    r = _resolve_r(args.components, train_std)
     model = SOLVERS[args.solver](train_std)
     sliced = _slice_model(model, r)
     significance = _significance(args, model, train_std.n, tracker)
@@ -338,13 +335,11 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     )
 
     data_std, recipe, _ = _prepare(args, seed)
-    # reject the fit's arguments, then the off-route ones the report echoes,
-    # before the widths and Grams are computed
+    # reject the fit's arguments before the widths and Grams are computed
     if args.pgso:
         _check_pgso(args.kappa, args.eta, args.components)
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
-    _config_echo(args)
     spec_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
     grams = build_gram_pair(data_std, spec_a, spec_b)
@@ -490,8 +485,6 @@ def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_simulate(args, seed: int, tracker: OutputTracker) -> dict:
-    if args.recipe is None:
-        raise ValueError("simulate requires --recipe")
     recipe = get_recipe(args.recipe, seed=seed, n=args.recipe_n)
     data = generate_synthetic(recipe)
     a_path = tracker.path("view_a.csv")
@@ -648,6 +641,8 @@ def main(argv=None) -> int:
     report_path = tracker.path("report.json")
     started = time.perf_counter()
     try:
+        # a non-finite flag is refused before any command runs
+        config = _config_echo(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         seed = _resolve_seed(args)
         report = args.func(args, seed, tracker)
@@ -660,8 +655,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report.update(command=args.command, config=_config_echo(args), seed=seed,
-                      version=__version__)
+        report.update(command=args.command, config=config, seed=seed, version=__version__)
         _write_report(report_path, report, tracker)
     except (ValueError, OSError) as exc:
         tracker.cleanup()

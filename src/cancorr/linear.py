@@ -14,8 +14,7 @@ import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
-    COND_LIMIT, NumericalError, fix_signs, ranked_pairs, require_components, unit_images,
-    well_conditioned,
+    COND_LIMIT, NumericalError, fix_signs, ranked_pairs, unit_images, well_conditioned,
 )
 
 # Eigenvalues may stray this far outside [0, 1] before being treated as errors.
@@ -61,14 +60,13 @@ class ProjectionResult:
     correlations: np.ndarray
 
 
-def _clip_unit_interval(values: np.ndarray, what: str) -> np.ndarray:
+def _check_unit_interval(values: np.ndarray, what: str) -> None:
     values = np.asarray(values, dtype=float)
     if values.size and (values.min() < -CLIP_TOL or values.max() > 1.0 + CLIP_TOL):
         raise NumericalError(
             f"{what} outside [0, 1] beyond tolerance: range "
             f"[{values.min():.6e}, {values.max():.6e}]"
         )
-    return np.clip(values, 0.0, 1.0)
 
 
 def _check_conditioning(eigs: np.ndarray, name: str, ridge: float = 0.0) -> None:
@@ -157,7 +155,7 @@ class _SpectralCore:
         if not ok[0, 0]:
             _check_conditioning(self.values_a + c1, "C_aa", c1)
             _check_conditioning(self.values_b + c2, "C_bb", c2)
-            _clip_unit_interval(s[0, 0, :r], "singular values")
+            _check_unit_interval(s[0, 0, :r], "singular values")
         return w_a[0, 0], w_b[0, 0]
 
 
@@ -202,11 +200,9 @@ def _eig_core(c_first: np.ndarray, c_second: np.ndarray, c_fs: np.ndarray, r: in
     values = values.real
     vectors = vectors.real
     order = np.argsort(-values, kind="stable")[:r]
-    rho = np.sqrt(_clip_unit_interval(values[order], "squared correlations"))
-    require_components(rho, r)
+    _check_unit_interval(values[order], "squared correlations")
     w_second = _unit_variance_columns(vectors[:, order], c_second)
-    w_first = np.linalg.solve(c_first, c_fs @ w_second) / rho
-    w_first = _unit_variance_columns(w_first, c_first)
+    w_first = _unit_variance_columns(np.linalg.solve(c_first, c_fs @ w_second), c_first)
     return w_first, w_second
 
 
@@ -214,9 +210,10 @@ def fit_standard_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     """Fit by the one-view standard eigenvalue problem.
 
     The squared correlations are the eigenvalues of
-    ``inv(C_bb) @ C_ba @ inv(C_aa) @ C_ab`` (clipped to [0, 1]); the problem
-    is posed on whichever view has fewer variables and the other view's
-    weights are recovered as ``w_a = inv(C_aa) @ C_ab @ w_b / rho``.
+    ``inv(C_bb) @ C_ba @ inv(C_aa) @ C_ab`` (checked to lie in [0, 1]); the
+    problem is posed on whichever view has fewer variables and the other
+    view's weights are recovered as ``w_a = inv(C_aa) @ C_ab @ w_b`` scaled
+    to unit variance, with no division by ``rho``, so a zero correlation fits.
 
     Parameters
     ----------
@@ -257,7 +254,7 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     b[p:, p:] = blocks.c_bb
     values, vectors = scipy.linalg.eigh(a, b)
     top = np.argsort(-values, kind="stable")[:r]
-    _clip_unit_interval(values[top], "leading pencil eigenvalues")
+    _check_unit_interval(values[top], "leading pencil eigenvalues")
     w_a = _unit_variance_columns(vectors[:p, top], blocks.c_aa)
     w_b = _unit_variance_columns(vectors[p:, top], blocks.c_bb)
     return _finalize(data, w_a, w_b, "generalized_eig")

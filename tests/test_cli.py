@@ -35,6 +35,7 @@ from cancorr.kernel import (
     KernelSpec, build_gram_pair, center_gram, fit_kernel_cca_pgso, gram, median_heuristic,
 )
 from cancorr.numerics import NumericalError
+from tests.conftest import weak_second_relation
 
 
 def run(*argv) -> int:
@@ -136,7 +137,7 @@ class TestFitCommand:
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "9",
                  "--out", tmp_path)
         assert rc == 2
-        assert "--components must lie in [1, 3], got 9" in capsys.readouterr().err
+        assert "components must satisfy 1 <= r <= min(p, q) = 3, got 9" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_components_rejected(self, tmp_path, capsys, monkeypatch):
@@ -144,8 +145,23 @@ class TestFitCommand:
         rc = run("fit", "--recipe", "example1", "--seed", "0", "--components", "0",
                  "--out", tmp_path)
         assert rc == 2
-        assert "--components must lie in [1, 3], got 0" in capsys.readouterr().err
+        assert "components must satisfy 1 <= r <= min(p, q) = 3, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_eig_fits_data_with_a_zero_canonical_correlation(self, tmp_path, capsys):
+        # the second canonical correlation is zero up to roundoff; eig fits it
+        # as svd does, and reports the leading one
+        data = weak_second_relation(0.0, 0)
+        write_view_csv(tmp_path / "a.csv", data.view_a, data.names_a)
+        write_view_csv(tmp_path / "b.csv", data.view_b, data.names_b)
+        source = ("--view-a", tmp_path / "a.csv", "--view-b", tmp_path / "b.csv")
+        for solver in ("eig", "svd"):
+            assert run("fit", *source, "--solver", solver, "--components", "1",
+                       "--out", tmp_path / solver) == 0
+        assert "correlations: 0.959220\n" in capsys.readouterr().out
+        eig, svd = (report_of(tmp_path / solver)["correlations"] for solver in ("eig", "svd"))
+        assert len(eig) == 1
+        assert eig[0] == pytest.approx(svd[0], abs=1e-12)
 
     def test_fewer_components_are_the_leading_ones_of_the_full_fit(self, tmp_path):
         argv = ("fit", "--recipe", "example1", "--recipe-n", "100", "--seed", "0",
@@ -405,11 +421,11 @@ class TestKccaCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        (("--c1", "nan"), "finite ridges"),
-        (("--c2", "inf"), "finite ridges"),
-        (("--pgso", "--kappa", "nan"), "kappa must be positive and finite"),
-        (("--pgso", "--eta", "nan"), "eta must be finite and nonnegative"),
-        (("--pgso", "--eta", "inf"), "eta must be finite and nonnegative"),
+        (("--c1", "nan"), "--c1 must be finite"),
+        (("--c2", "inf"), "--c2 must be finite"),
+        (("--pgso", "--kappa", "nan"), "--kappa must be finite"),
+        (("--pgso", "--eta", "nan"), "--eta must be finite"),
+        (("--pgso", "--eta", "inf"), "--eta must be finite"),
         (("--pgso", "--eta", "-1"), "eta must be finite and nonnegative"),
     ], ids=["c1-nan", "c2-inf", "kappa-nan", "eta-nan", "eta-inf", "eta-negative"])
     def test_non_finite_arguments_rejected_before_any_width(self, tmp_path, capsys,
@@ -463,7 +479,8 @@ class TestPmdCommand:
     @pytest.mark.parametrize("argv", [("--budget-a=nan",), ("--budget-b=inf",)])
     def test_non_finite_budget_rejected(self, tmp_path, capsys, argv):
         assert run("pmd", "--recipe", "example9", "--seed", "0", *argv, "--out", tmp_path) == 2
-        assert "finite and at least 1" in capsys.readouterr().err
+        flag = argv[0].split("=")[0]
+        assert f"{flag} must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -504,7 +521,8 @@ class TestPdsccaCommand:
     def test_non_finite_penalty_rejected(self, tmp_path, capsys, argv):
         assert run("pdscca", "--recipe", "example10", "--seed", "0", *argv,
                    "--out", tmp_path) == 2
-        assert "finite and nonnegative" in capsys.readouterr().err
+        flag = argv[0].split("=")[0]
+        assert f"{flag} must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -574,7 +592,13 @@ class TestErrorExits:
         (("cv", "--grid-c1", "log:1e-3:1e3"), "must look like"),
         (("cv", "--folds", "1"), "at least 2 folds"),
         (("fit", "--test-split", "1.5"), "strictly between 0 and 1"),
-    ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds", "fit-split"])
+        (("fit", "--alpha=nan"), "--alpha must be finite"),
+        (("test", "--alpha=inf"), "--alpha must be finite"),
+        (("pmd", "--budget-a=nan"), "--budget-a must be finite"),
+        (("pdscca", "--mu=inf"), "--mu must be finite"),
+        (("kcca", "--c1=nan"), "--c1 must be finite"),
+    ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds", "fit-split", "fit-alpha",
+            "test-alpha", "pmd-budget", "pdscca-mu", "kcca-c1"])
     def test_data_free_flags_refused_before_loading(self, tmp_path, monkeypatch, capsys,
                                                     argv, message):
         def unreachable(*args, **kwargs):
@@ -705,13 +729,21 @@ def float_flag_cases() -> list:
 
 class TestNonFiniteFloatFlags:
     @pytest.mark.parametrize("command, route, flag, value", float_flag_cases())
-    def test_rejected_with_no_files(self, tmp_path, command, route, flag, value):
+    def test_rejected_with_no_files(self, tmp_path, capsys, command, route, flag, value):
         source = NON_FINITE_SWEEP_SOURCES.get(command)
         assert source is not None, f"give '{command}' a source in NON_FINITE_SWEEP_SOURCES"
         # --flag=value, since argparse reads a bare -inf as an option
         assert main([command, *source, "--seed", "0", *route, f"{flag}={value}",
                      "--out", str(tmp_path)]) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_refused_flag_removes_an_earlier_report(self, tmp_path):
+        argv = ("fit", "--recipe", "example1", "--seed", "0", "--out", tmp_path)
+        assert run(*argv) == 0
+        assert run(*argv, "--alpha=nan") == 2
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestReproducibility:

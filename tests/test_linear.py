@@ -220,16 +220,19 @@ class TestOneConditioningGate:
 
 class TestComponentFloor:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_zero_correlation_refused_by_eig_only(self, seed):
-        # eig divides by rho and counts components at the shared floor; svd and
-        # geneig stay defined at rho = 0 and return the full min(p, q) spectrum
+    def test_zero_correlation_fitted_by_every_solver(self, seed):
+        # no solver divides by rho: each stays defined at rho = 0 and returns
+        # the full min(p, q) spectrum
         data = weak_second_relation(0.0, seed)
-        with pytest.raises(NumericalError, match="supports only 1 components"):
-            fit_standard_eig(data)
-        for solver in (fit_svd, fit_generalized_eig):
-            rho = solver(data).correlations
-            assert rho.shape == (2,)
-            assert rho[1] < 1e-12
+        blocks = covariance_blocks(data)
+        first = fit_svd(data).correlations[0]
+        for solver in ALL_SOLVERS:
+            model = solver(data)
+            assert model.correlations.shape == (2,)
+            assert model.correlations[1] < 1e-12
+            assert abs(model.correlations[0] - first) <= 1e-12
+            for w, c in ((model.w_a, blocks.c_aa), (model.w_b, blocks.c_bb)):
+                assert np.allclose(np.einsum("ij,jk,ki->i", w.T, c, w), 1.0, atol=1e-12)
 
 
 class TestPencilSpectrum:
@@ -348,6 +351,16 @@ class TestProject:
             project(model, PairedDataset(rng.standard_normal((10, 4)), rng.standard_normal((10, 3))))
         with pytest.raises(ValueError, match="column counts"):
             project(model, random_dataset(0, 10, 4, 2))
+
+    def test_rows_at_the_training_means_refused(self, example1_data):
+        # held-out rows at the training means standardize to zero rows, whose
+        # images have no direction
+        model = fit_svd(example1_data)
+        scaler = example1_data.scaler
+        test = scaler.apply(PairedDataset(np.tile(scaler.mean_a, (2, 1)),
+                                          np.tile(scaler.mean_b, (2, 1))))
+        with pytest.raises(NumericalError, match="collapsed to the zero vector"):
+            project(model, test)
 
 
 class TestExample1Reproduction:

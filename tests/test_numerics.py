@@ -294,6 +294,9 @@ class TestPartialGramSchmidt:
         assert r.shape == (3, 3)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
 
+    def test_empty_gram_gives_empty_factor(self):
+        assert partial_gram_schmidt(np.zeros((0, 0)), 0.0).shape == (0, 0)
+
     def test_rank_one_stops_after_one_column(self):
         u = np.array([1.0, 2.0, -1.0, 0.5])
         k = np.outer(u, u)
