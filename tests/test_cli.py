@@ -738,7 +738,6 @@ class TestNonFiniteFloatFlags:
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-
     def test_refused_flag_removes_an_earlier_report(self, tmp_path):
         argv = ("fit", "--recipe", "example1", "--seed", "0", "--out", tmp_path)
         assert run(*argv) == 0
