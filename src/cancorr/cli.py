@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,7 +42,6 @@ if TYPE_CHECKING:
     from .kernel import KernelSpec
     from .linear import CcaModel
 
-SIGNIFICANCE_CSV = "significance.csv"
 # The keys of ``linear.SOLVERS``, spelled out so that building the parser
 # does not import the linear layer.
 SOLVER_NAMES = ("eig", "geneig", "svd")
@@ -65,15 +65,22 @@ COMMAND_LAYERS = {
 
 
 class OutputTracker:
-    """Records files written by a command so partial outputs can be removed on error."""
+    """Records the files a command writes, so that a failed run removes them.
+
+    ``files`` maps a report key to each side file and is the report's
+    ``files`` entry; ``report.json`` and its temp file are written unkeyed.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
+        self.files: dict[str, str] = {}
 
-    def path(self, name: str) -> Path:
+    def path(self, name: str, key: str | None = None) -> Path:
         p = self.out_dir / name
         self.paths.append(p)
+        if key is not None:
+            self.files[key] = name
         return p
 
     def cleanup(self) -> None:
@@ -185,7 +192,7 @@ def _significance(args, model: CcaModel, n: int, tracker: OutputTracker) -> dict
     significance = sequential_test(
         model.correlations, n=n, p=model.p, q=model.q, alpha=args.alpha, clamp_perfect=True,
     )
-    significance.write_csv(tracker.path(SIGNIFICANCE_CSV))
+    significance.write_csv(tracker.path("significance.csv", "significance"))
     return {
         "alpha": significance.alpha,
         "n_significant": significance.n_significant,
@@ -267,20 +274,13 @@ def _cmd_fit(args, seed: int, tracker: OutputTracker) -> dict:
     model = SOLVERS[args.solver](train_std)
     sliced = _slice_model(model, r)
     significance = _significance(args, model, train_std.n, tracker)
-    wa_path = tracker.path("weights_a.csv")
-    wb_path = tracker.path("weights_b.csv")
-    _write_weights_csv(wa_path, train_std.names_a, sliced.w_a)
-    _write_weights_csv(wb_path, train_std.names_b, sliced.w_b)
+    _write_weights_csv(tracker.path("weights_a.csv", "weights_a"), train_std.names_a, sliced.w_a)
+    _write_weights_csv(tracker.path("weights_b.csv", "weights_b"), train_std.names_b, sliced.w_b)
     report = {
         "n_train": train_std.n,
         "solver": args.solver,
         "correlations": sliced.correlations,
         "significance": significance,
-        "files": {
-            "weights_a": wa_path.name,
-            "weights_b": wb_path.name,
-            "significance": SIGNIFICANCE_CSV,
-        },
     }
     if test is not None:
         test_std = train_std.scaler.apply(test)
@@ -306,13 +306,11 @@ def _cmd_cv(args, seed: int, tracker: OutputTracker) -> dict:
     # the refit's component count is refused before the grid is searched
     _resolve_r(args.components, data_std)
     surface = cross_validate(data_std, config)
-    surface_path = tracker.path("cv_surface.csv")
-    surface.write_csv(surface_path)
+    surface.write_csv(tracker.path("cv_surface.csv", "cv_surface"))
     report = {
         "selected_c1": surface.selected_c1,
         "selected_c2": surface.selected_c2,
         "best_mean_test_correlation": surface.selected_score,
-        "files": {"cv_surface": surface_path.name},
     }
     try:
         refit = fit_regularized(
@@ -338,22 +336,19 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     # reject the fit's arguments before the widths and Grams are computed
     if args.pgso:
         _check_pgso(args.kappa, args.eta, args.components)
+        fit = partial(fit_kernel_cca_pgso, kappa=args.kappa, eta=args.eta, r=args.components)
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
+        fit = partial(fit_kernel_cca, c1=args.c1, c2=args.c2, r=args.components)
     spec_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
     spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
-    grams = build_gram_pair(data_std, spec_a, spec_b)
-    if args.pgso:
-        model = fit_kernel_cca_pgso(grams, kappa=args.kappa, eta=args.eta, r=args.components)
-    else:
-        model = fit_kernel_cca(grams, c1=args.c1, c2=args.c2, r=args.components)
+    model = fit(build_gram_pair(data_std, spec_a, spec_b))
     report = {
         "solver": model.solver,
         "kernel_width_a": spec_a.width,
         "kernel_width_b": spec_b.width,
         "correlations": model.correlations,
         "regularization": dict(model.regularization),
-        "files": {},
     }
     if args.pgso:
         report["factor_columns"] = model.factor_columns
@@ -361,21 +356,16 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
     if recipe is not None and recipe.relations:
         signals = relation_signals(recipe, data_std)
         table = image_relation_table(model.z_a, signals)
-        rel_path = tracker.path("relations.csv")
-        table.write_csv(rel_path)
-        report["files"]["relations"] = rel_path.name
+        table.write_csv(tracker.path("relations.csv", "relations"))
         report["relation_table"] = {
             "signals": list(table.signal_names),
             "images": list(table.image_names),
             "correlations": table.correlations,
         }
     print("correlations:", " ".join("%.6f" % c for c in model.correlations))
-    if spec_a.width is not None:
-        print("sigma_a=%.6f" % spec_a.width, end=" ")
-    if spec_b.width is not None:
-        print("sigma_b=%.6f" % spec_b.width, end="")
-    if spec_a.width is not None or spec_b.width is not None:
-        print()
+    gaussian = [(v, s.width) for v, s in zip("ab", (spec_a, spec_b)) if s.kind == "gaussian"]
+    if gaussian:
+        print(" ".join("sigma_%s=%.6f" % width for width in gaussian))
     return report
 
 
@@ -386,18 +376,17 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
     blocks = covariance_blocks(data_std)
     result = fit_pmd(blocks.c_ab, args.budget_a, args.budget_b, args.components)
     corr = unit_images(data_std.view_a @ result.w_a, data_std.view_b @ result.w_b)[2]
-    wa_path = tracker.path("sparse_weights_a.csv")
-    wb_path = tracker.path("sparse_weights_b.csv")
-    _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a)
-    _write_sparse_weights_csv(wb_path, data_std.names_b, result.w_b)
+    _write_sparse_weights_csv(tracker.path("sparse_weights_a.csv", "weights_a"),
+                              data_std.names_a, result.w_a)
+    _write_sparse_weights_csv(tracker.path("sparse_weights_b.csv", "weights_b"),
+                              data_std.names_b, result.w_b)
     report = {
         "sigmas": result.sigmas,
         "image_correlations": corr,
-        "nonzeros_a": [int(np.count_nonzero(result.w_a[:, j])) for j in range(result.r)],
-        "nonzeros_b": [int(np.count_nonzero(result.w_b[:, j])) for j in range(result.r)],
+        "nonzeros_a": np.count_nonzero(result.w_a, axis=0),
+        "nonzeros_b": np.count_nonzero(result.w_b, axis=0),
         "iterations": list(result.iterations),
         "converged": list(result.converged),
-        "files": {"weights_a": wa_path.name, "weights_b": wb_path.name},
     }
     print("image correlations:", " ".join("%.6f" % c for c in corr))
     return report
@@ -418,8 +407,8 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
         result = fit_primal_dual(x_a, k_b, mu, gamma, args.basis)
     else:
         result = scan_basis(x_a, k_b, mu, gamma)
-    wa_path = tracker.path("sparse_weights_a.csv")
-    _write_sparse_weights_csv(wa_path, data_std.names_a, result.w_a[:, None])
+    _write_sparse_weights_csv(tracker.path("sparse_weights_a.csv", "weights_a"),
+                              data_std.names_a, result.w_a[:, None])
     report = {
         "mu": mu,
         "gamma": gamma,
@@ -432,12 +421,10 @@ def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
         "kkt_violation": result.kkt_violation,
         "n_iterations": result.n_iterations,
         "nonzeros_a": int(np.count_nonzero(result.w_a)),
-        "files": {"weights_a": wa_path.name},
     }
     print(
         "basis=%d objective=%.6f correlation=%.6f nonzeros=%d"
-        % (result.basis_index, result.objective, result.correlation,
-           int(np.count_nonzero(result.w_a)))
+        % (result.basis_index, result.objective, result.correlation, report["nonzeros_a"])
     )
     return report
 
@@ -448,13 +435,8 @@ def _cmd_test(args, seed: int, tracker: OutputTracker) -> dict:
     data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
     significance = _significance(args, model, data_std.n, tracker)
-    report = {
-        "correlations": model.correlations,
-        **significance,
-        "files": {"significance": SIGNIFICANCE_CSV},
-    }
     print("significant components at alpha=%g: %d" % (args.alpha, significance["n_significant"]))
-    return report
+    return {"correlations": model.correlations, **significance}
 
 
 def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
@@ -472,59 +454,25 @@ def _cmd_biplot(args, seed: int, tracker: OutputTracker) -> dict:
     data_std, _, _ = _prepare(args, seed)
     model = SOLVERS[args.solver](data_std)
     table = biplot_export(data_std, model, pair=(parts[0] - 1, parts[1] - 1), view=args.view)
-    bi_path = tracker.path("biplot.csv")
-    table.write_csv(bi_path)
-    report = {
-        "correlations": model.correlations,
-        "pair": parts,
-        "view": args.view,
-        "files": {"biplot": bi_path.name},
-    }
+    table.write_csv(tracker.path("biplot.csv", "biplot"))
     print("biplot table written for components %d,%d of view %s" % (parts[0], parts[1], args.view))
-    return report
+    return {"correlations": model.correlations, "pair": parts, "view": args.view}
 
 
 def _cmd_simulate(args, seed: int, tracker: OutputTracker) -> dict:
     recipe = get_recipe(args.recipe, seed=seed, n=args.recipe_n)
     data = generate_synthetic(recipe)
-    a_path = tracker.path("view_a.csv")
-    b_path = tracker.path("view_b.csv")
+    a_path = tracker.path("view_a.csv", "view_a")
+    b_path = tracker.path("view_b.csv", "view_b")
     write_view_csv(a_path, data.view_a, data.names_a)
     write_view_csv(b_path, data.view_b, data.names_b)
-    report = {
-        "recipe": recipe.recipe_id,
-        "n": data.n,
-        "p": data.p,
-        "q": data.q,
-        "files": {"view_a": a_path.name, "view_b": b_path.name},
-    }
     print("wrote %s (%d x %d) and %s (%d x %d)"
           % (a_path, data.n, data.p, b_path, data.n, data.q))
-    return report
+    return {"recipe": recipe.recipe_id, "n": data.n, "p": data.p, "q": data.q}
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_source_args(sub, with_split: bool = False):
-    sub.add_argument("--view-a", type=Path, help="CSV file for view a")
-    sub.add_argument("--view-b", type=Path, help="CSV file for view b")
-    sub.add_argument("--recipe", help="built-in synthetic recipe id (example1, example6, ...)")
-    sub.add_argument("--recipe-n", type=int, default=None,
-                     help="override the recipe's observation count")
-    if with_split:
-        sub.add_argument("--test-split", type=float, default=None,
-                         help="hold out this fraction of rows for generalisation testing")
-
-
-def _add_common_args(sub):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="random seed (falls back to the CCA_SEED environment variable, then 0)")
-    sub.add_argument("--out", type=Path, default=Path("."),
-                     help="directory for the report and CSV side files")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted and echoed in report.json; no command uses it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,17 +483,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fit = subs.add_parser("fit", help="linear fit with significance and optional held-out scoring")
-    _add_source_args(fit, with_split=True)
-    _add_common_args(fit)
+    # the source flags of the seven data commands, and the flags every command takes
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--view-a", type=Path, help="CSV file for view a")
+    source.add_argument("--view-b", type=Path, help="CSV file for view b")
+    source.add_argument("--recipe", help="built-in synthetic recipe id (example1, example6, ...)")
+    source.add_argument("--recipe-n", type=int, default=None,
+                        help="override the recipe's observation count")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--seed", type=int, default=None,
+        help="random seed (falls back to the CCA_SEED environment variable, then 0)",
+    )
+    common.add_argument("--out", type=Path, default=Path("."),
+                        help="directory for the report and CSV side files")
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted and echoed in report.json; no command uses it")
+
+    fit = subs.add_parser("fit", parents=[source, common],
+                          help="linear fit with significance and optional held-out scoring")
+    fit.add_argument("--test-split", type=float, default=None,
+                     help="hold out this fraction of rows for generalisation testing")
     fit.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     fit.add_argument("--components", type=int, default=None)
     fit.add_argument("--alpha", type=float, default=0.01)
     fit.set_defaults(func=_cmd_fit)
 
-    cv = subs.add_parser("cv", help="cross-validated ridge selection")
-    _add_source_args(cv)
-    _add_common_args(cv)
+    cv = subs.add_parser("cv", parents=[source, common],
+                         help="cross-validated ridge selection")
     cv.add_argument("--grid-c1", default="log:1e-3:1e3:15",
                     help="ridge grid: log:lo:hi:count, lin:lo:hi:count, or comma list")
     cv.add_argument("--grid-c2", default="log:1e-3:1e3:15")
@@ -555,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="components for the final refit at the selected ridges")
     cv.set_defaults(func=_cmd_cv)
 
-    kcca = subs.add_parser("kcca", help="kernel fit (direct pencil or reduced route)")
-    _add_source_args(kcca)
-    _add_common_args(kcca)
+    kcca = subs.add_parser("kcca", parents=[source, common],
+                           help="kernel fit (direct pencil or reduced route)")
     kcca.add_argument("--kernel-a", choices=("gaussian", "linear"), default="gaussian")
     kcca.add_argument("--kernel-b", choices=("gaussian", "linear"), default="gaussian")
     kcca.add_argument("--sigma-a", default="median",
@@ -574,17 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="factorisation trace cutoff (default 1e-6 of the gram trace)")
     kcca.set_defaults(func=_cmd_kcca)
 
-    pmd = subs.add_parser("pmd", help="sparse rank-1 decomposition of the cross block")
-    _add_source_args(pmd)
-    _add_common_args(pmd)
+    pmd = subs.add_parser("pmd", parents=[source, common],
+                          help="sparse rank-1 decomposition of the cross block")
     pmd.add_argument("--budget-a", type=float, default=2.0, help="1-norm budget for view a")
     pmd.add_argument("--budget-b", type=float, default=2.0)
     pmd.add_argument("--components", type=int, default=1)
     pmd.set_defaults(func=_cmd_pmd)
 
-    pd = subs.add_parser("pdscca", help="sparse primal weights against one kernel basis column")
-    _add_source_args(pd)
-    _add_common_args(pd)
+    pd = subs.add_parser("pdscca", parents=[source, common],
+                         help="sparse primal weights against one kernel basis column")
     pd.add_argument("--kernel-b", choices=("gaussian", "linear"), default="gaussian")
     pd.add_argument("--sigma-b", default="median")
     pd.add_argument("--mu", type=float, default=None,
@@ -595,25 +557,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fix the pinned basis column (0-based); default scans all")
     pd.set_defaults(func=_cmd_pdscca)
 
-    test = subs.add_parser("test", help="sequential significance test of the correlations")
-    _add_source_args(test)
-    _add_common_args(test)
+    test = subs.add_parser("test", parents=[source, common],
+                           help="sequential significance test of the correlations")
     test.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     test.add_argument("--alpha", type=float, default=0.01)
     test.set_defaults(func=_cmd_test)
 
-    biplot = subs.add_parser("biplot", help="structure-correlation table for an image pair")
-    _add_source_args(biplot)
-    _add_common_args(biplot)
+    biplot = subs.add_parser("biplot", parents=[source, common],
+                             help="structure-correlation table for an image pair")
     biplot.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     biplot.add_argument("--pair", default="1,2", help="two 1-based component numbers, e.g. 1,2")
     biplot.add_argument("--view", choices=("a", "b"), default="a")
     biplot.set_defaults(func=_cmd_biplot)
 
-    sim = subs.add_parser("simulate", help="write a synthetic recipe to CSV files")
+    sim = subs.add_parser("simulate", parents=[common],
+                          help="write a synthetic recipe to CSV files")
     sim.add_argument("--recipe", required=True)
     sim.add_argument("--recipe-n", type=int, default=None)
-    _add_common_args(sim)
     sim.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -655,7 +615,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        report.update(command=args.command, config=config, seed=seed, version=__version__)
+        report.update(
+            command=args.command, config=config, seed=seed, version=__version__,
+            files=tracker.files,
+        )
         _write_report(report_path, report, tracker)
     except (ValueError, OSError) as exc:
         tracker.cleanup()

@@ -17,9 +17,6 @@ from .numerics import (
     COND_LIMIT, NumericalError, fix_signs, ranked_pairs, unit_images, well_conditioned,
 )
 
-# Eigenvalues may stray this far outside [0, 1] before being treated as errors.
-CLIP_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class CcaModel:
@@ -58,15 +55,6 @@ class ProjectionResult:
     z_a: np.ndarray
     z_b: np.ndarray
     correlations: np.ndarray
-
-
-def _check_unit_interval(values: np.ndarray, what: str) -> None:
-    values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < -CLIP_TOL or values.max() > 1.0 + CLIP_TOL):
-        raise NumericalError(
-            f"{what} outside [0, 1] beyond tolerance: range "
-            f"[{values.min():.6e}, {values.max():.6e}]"
-        )
 
 
 def _check_conditioning(eigs: np.ndarray, name: str, ridge: float = 0.0) -> None:
@@ -129,9 +117,8 @@ class _SpectralCore:
         leading ``r`` columns back.  Returns ``(w_a, w_b, s, ok)``: weights of
         shape (G1, G2, p, r) and (G1, G2, q, r), the singular values
         (G1, G2, min(p, q)), and the (G1, G2) mask of cells whose ridged
-        blocks pass the ``COND_LIMIT`` test and whose leading singular value
-        is at most ``1 + CLIP_TOL``.  Cells outside the mask hold finite
-        values of no meaning.
+        blocks pass the ``COND_LIMIT`` test.  Cells outside the mask hold
+        finite values of no meaning.
         """
         ridged_a = self.values_a + np.asarray(c1_grid, dtype=float)[:, None]
         ridged_b = self.values_b + np.asarray(c2_grid, dtype=float)[:, None]
@@ -145,24 +132,26 @@ class _SpectralCore:
             v, s, u = (x.swapaxes(0, 1) for x in _tall_grid_svd(self.cross.T, scale_b, scale_a, r))
         w_a = self.vectors_a @ (scale_a[:, None, :, None] * u)
         w_b = self.vectors_b @ (scale_b[None, :, :, None] * v)
-        ok = ok_a[:, None] & ok_b[None, :] & (s[..., 0] <= 1.0 + CLIP_TOL)
+        ok = ok_a[:, None] & ok_b[None, :]
         return w_a, w_b, s, ok
 
     def weights(self, c1: float, c2: float, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Top ``r`` weight pairs at one ridge pair, the 1 x 1 grid of ``solve``;
         a failed cell raises."""
-        w_a, w_b, s, ok = self.solve([c1], [c2], r)
+        w_a, w_b, _, ok = self.solve([c1], [c2], r)
         if not ok[0, 0]:
             _check_conditioning(self.values_a + c1, "C_aa", c1)
             _check_conditioning(self.values_b + c2, "C_bb", c2)
-            _check_unit_interval(s[0, 0, :r], "singular values")
         return w_a[0, 0], w_b[0, 0]
 
 
 def _unit_variance_columns(w: np.ndarray, metric: np.ndarray) -> np.ndarray:
     scale = np.einsum("ij,jk,ki->i", w.T, metric, w)
     if np.any(scale <= 0):
-        raise NumericalError("weight normalisation failed: nonpositive variance under the metric")
+        raise NumericalError(
+            "weight normalisation failed: a canonical correlation is exactly 0, "
+            "so that weight is undefined; fit with svd"
+        )
     return w / np.sqrt(scale)
 
 
@@ -200,7 +189,6 @@ def _eig_core(c_first: np.ndarray, c_second: np.ndarray, c_fs: np.ndarray, r: in
     values = values.real
     vectors = vectors.real
     order = np.argsort(-values, kind="stable")[:r]
-    _check_unit_interval(values[order], "squared correlations")
     w_second = _unit_variance_columns(vectors[:, order], c_second)
     w_first = _unit_variance_columns(np.linalg.solve(c_first, c_fs @ w_second), c_first)
     return w_first, w_second
@@ -210,10 +198,10 @@ def fit_standard_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     """Fit by the one-view standard eigenvalue problem.
 
     The squared correlations are the eigenvalues of
-    ``inv(C_bb) @ C_ba @ inv(C_aa) @ C_ab`` (checked to lie in [0, 1]); the
-    problem is posed on whichever view has fewer variables and the other
-    view's weights are recovered as ``w_a = inv(C_aa) @ C_ab @ w_b`` scaled
-    to unit variance, with no division by ``rho``, so a zero correlation fits.
+    ``inv(C_bb) @ C_ba @ inv(C_aa) @ C_ab``; the problem is posed on whichever
+    view has fewer variables and the other view's weights are recovered as
+    ``w_a = inv(C_aa) @ C_ab @ w_b`` scaled to unit variance, with no division
+    by ``rho``, so a zero correlation fits unless ``C_ab @ w_b`` is exactly 0.
 
     Parameters
     ----------
@@ -254,7 +242,6 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     b[p:, p:] = blocks.c_bb
     values, vectors = scipy.linalg.eigh(a, b)
     top = np.argsort(-values, kind="stable")[:r]
-    _check_unit_interval(values[top], "leading pencil eigenvalues")
     w_a = _unit_variance_columns(vectors[:p, top], blocks.c_aa)
     w_b = _unit_variance_columns(vectors[p:, top], blocks.c_bb)
     return _finalize(data, w_a, w_b, "generalized_eig")

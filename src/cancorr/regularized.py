@@ -101,10 +101,9 @@ def cross_validate(data: PairedDataset, config: RegularizationConfig) -> CvSurfa
     small square block per cell.  The held-out cosine takes the sign that
     orients the training images.
 
-    A cell fails on a fold when a ridged block is outside ``COND_LIMIT``, its
-    leading singular value exceeds ``1 + CLIP_TOL``, or a training or
-    held-out image has norm below 1e-300; it then scores -1 there and adds one
-    to its ``failed_folds`` count.  Scores are averaged over folds, then over
+    A cell fails on a fold when a ridged block is outside ``COND_LIMIT`` or a
+    training or held-out image has norm below 1e-300; it then scores -1 there
+    and adds one to its ``failed_folds`` count.  Scores are averaged over folds, then over
     repetitions.  The selected cell maximises the mean score among the cells
     with no failed fold; exact ties go to the smallest c1 + c2 (then smallest
     c1).  Raises NumericalError when every cell failed on some fold.

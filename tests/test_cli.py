@@ -163,6 +163,24 @@ class TestFitCommand:
         assert len(eig) == 1
         assert eig[0] == pytest.approx(svd[0], abs=1e-12)
 
+    @pytest.mark.parametrize("solver", ["eig", "geneig"])
+    def test_exactly_uncorrelated_views_refused_by_the_eigen_routes(self, tmp_path, capsys,
+                                                                   solver):
+        # C_ab is exactly 0, so the partner weight of the eigen routes is
+        # undefined; svd fits the same files and reports 0
+        write_view_csv(tmp_path / "a.csv", np.array([[1.0], [-1.0], [1.0], [-1.0], [0.0]]),
+                       ("x",))
+        write_view_csv(tmp_path / "b.csv", np.array([[1.0], [1.0], [-1.0], [-1.0], [0.0]]),
+                       ("y",))
+        source = ("--view-a", tmp_path / "a.csv", "--view-b", tmp_path / "b.csv")
+        assert run("fit", *source, "--solver", "svd", "--out", tmp_path / "svd") == 0
+        assert "correlations: 0.000000\n" in capsys.readouterr().out
+        out = tmp_path / solver
+        assert run("fit", *source, "--solver", solver, "--out", out) == 3
+        assert ("error: weight normalisation failed: a canonical correlation is exactly 0, "
+                "so that weight is undefined; fit with svd") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_fewer_components_are_the_leading_ones_of_the_full_fit(self, tmp_path):
         argv = ("fit", "--recipe", "example1", "--recipe-n", "100", "--seed", "0",
                 "--test-split", "0.4")
@@ -583,6 +601,40 @@ class TestTestAndBiplotCommands:
     def test_biplot_pair_validated(self, tmp_path, pair):
         rc = run("biplot", "--recipe", "example1", "--pair", pair, "--out", tmp_path)
         assert rc == 2
+
+
+class TestSideFiles:
+    """``report.json``'s ``files`` maps a key to every side file the command
+    wrote, and to no other file."""
+
+    @pytest.mark.parametrize("argv, files", [
+        (("fit", "--recipe", "example1"),
+         {"weights_a": "weights_a.csv", "weights_b": "weights_b.csv",
+          "significance": "significance.csv"}),
+        (("test", "--recipe", "example1"), {"significance": "significance.csv"}),
+        (("biplot", "--recipe", "example1"), {"biplot": "biplot.csv"}),
+        (("cv", "--recipe", "example1", "--grid-c1", "0.1,1", "--grid-c2", "0.1",
+          "--reps", "1"), {"cv_surface": "cv_surface.csv"}),
+        (("kcca", "--recipe", "example7"), {"relations": "relations.csv"}),
+        (("kcca", "csv"), {}),
+        (("pmd", "--recipe", "example9"),
+         {"weights_a": "sparse_weights_a.csv", "weights_b": "sparse_weights_b.csv"}),
+        (("pdscca", "--recipe", "example10", "--basis", "0"),
+         {"weights_a": "sparse_weights_a.csv"}),
+        (("simulate", "--recipe", "example1"), {"view_a": "view_a.csv", "view_b": "view_b.csv"}),
+    ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-csv", "pmd", "pdscca", "simulate"])
+    def test_files_lists_every_side_file(self, tmp_path, argv, files):
+        if argv == ("kcca", "csv"):
+            data = generate_synthetic(get_recipe("example7", seed=0))
+            write_view_csv(tmp_path / "a.csv", data.view_a, data.names_a)
+            write_view_csv(tmp_path / "b.csv", data.view_b, data.names_b)
+            argv = ("kcca", "--view-a", tmp_path / "a.csv", "--view-b", tmp_path / "b.csv")
+        out = tmp_path / "out"
+        assert run(*argv, "--seed", "0", "--out", out) == 0
+        rep = report_of(out)
+        written = {p.name for p in out.iterdir()} - {"report.json"}
+        assert set(rep["files"].values()) == written
+        assert rep["files"] == files
 
 
 class TestErrorExits:
