@@ -616,19 +616,19 @@ class TestSideFiles:
         (("cv", "--recipe", "example1", "--grid-c1", "0.1,1", "--grid-c2", "0.1",
           "--reps", "1"), {"cv_surface": "cv_surface.csv"}),
         (("kcca", "--recipe", "example7"), {"relations": "relations.csv"}),
-        (("kcca", "csv"), {}),
+        (("kcca", "--view-a", "a.csv", "--view-b", "b.csv"), {}),
         (("pmd", "--recipe", "example9"),
          {"weights_a": "sparse_weights_a.csv", "weights_b": "sparse_weights_b.csv"}),
         (("pdscca", "--recipe", "example10", "--basis", "0"),
          {"weights_a": "sparse_weights_a.csv"}),
         (("simulate", "--recipe", "example1"), {"view_a": "view_a.csv", "view_b": "view_b.csv"}),
     ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-csv", "pmd", "pdscca", "simulate"])
-    def test_files_lists_every_side_file(self, tmp_path, argv, files):
-        if argv == ("kcca", "csv"):
-            data = generate_synthetic(get_recipe("example7", seed=0))
-            write_view_csv(tmp_path / "a.csv", data.view_a, data.names_a)
-            write_view_csv(tmp_path / "b.csv", data.view_b, data.names_b)
-            argv = ("kcca", "--view-a", tmp_path / "a.csv", "--view-b", tmp_path / "b.csv")
+    def test_files_lists_every_side_file(self, tmp_path, monkeypatch, argv, files):
+        # the CSV source is example7 without its recipe, so kcca writes no side file
+        monkeypatch.chdir(tmp_path)
+        data = generate_synthetic(get_recipe("example7", seed=0))
+        write_view_csv(tmp_path / "a.csv", data.view_a, data.names_a)
+        write_view_csv(tmp_path / "b.csv", data.view_b, data.names_b)
         out = tmp_path / "out"
         assert run(*argv, "--seed", "0", "--out", out) == 0
         rep = report_of(out)
