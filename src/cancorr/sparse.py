@@ -209,86 +209,177 @@ def _stacked_problem(x_a, k_b, mu, gamma):
     return x_a, k_b, design, design.T @ design, np.repeat([float(mu), float(gamma)], [p, n])
 
 
-def _fit_basis(x_a, k_b, design, gram, penalty, basis_index) -> PrimalDualResult:
-    """Active-set solve for one basis column: the fit is ``design @ z`` with
-    ``z = (w, beta)`` and the pinned entry held at 1.  ``free`` lists the
-    nonzero entries that move on their sign, ``at_box`` marks dual entries held
-    at ``sign = +-1``, and the rest are 0.  While a free stationarity condition
-    is violated, a step follows the Newton direction of the sign-fixed problem
-    on ``free``; otherwise the worst violator enters along the direction that
-    keeps the free conditions, which needs only the free block of ``gram`` to
-    be nonsingular.  Each step stops at its line minimum or at the first zero
-    crossing or box hit, so the objective never increases.
+def _newton_steps(sub, lin):
+    """Newton directions ``-sub^-1 lin / 2`` of sign-fixed problems, one per row."""
+    return np.linalg.solve(sub, -0.5 * lin[:, :, None])[:, :, 0]
+
+
+def _entering_steps(sub, direction):
+    """Directions that move each row's last entry by ``direction`` and keep
+    the stationarity of the others: ``-direction sub[:-1, :-1]^-1 sub[:-1, -1]``."""
+    d = direction[:, None]
+    sol = np.linalg.solve(sub[:, :-1, :-1], sub[:, :-1, -1:])[:, :, 0]
+    return np.concatenate([-d * sol, d], axis=1)
+
+
+def _fit_batch(x_a, k_b, design, gram, penalty, columns):
+    """Active-set solves for the basis ``columns``, run in lockstep.
+
+    Column ``j`` fits ``design @ z`` with ``z = (w, beta)`` and its pinned entry
+    ``p + j`` held at 1.  Free entries are nonzero and move on their sign;
+    ``order[:n_free]`` lists them in the order they entered.  ``at_box`` marks
+    dual entries held at ``sign = +-1``, and the rest are 0.  While a free
+    stationarity condition is violated, a step follows the Newton direction of
+    the sign-fixed problem on the free set; otherwise the worst violator enters
+    along the direction that keeps the free conditions, which needs only the
+    free block of ``gram`` to be nonsingular.  Each step stops at its line
+    minimum or at the first zero crossing or box hit, so in exact arithmetic
+    the objective never increases.
+
+    Every live column takes one step per round, and the columns whose steps
+    span the same number of entries move together.  Their solves are stacked
+    by size and their products are stacked row products, which give each
+    column the bits of its own ``dgesv``, ``gemv`` and ``ddot`` calls, so a
+    column's fit does not depend on the batch it runs in.  A column leaves the
+    batch once it meets its KKT tolerance, its objective is not finite, it has
+    taken ``PD_MAX_STEPS`` steps, or it finds no descent direction or no
+    finite step.  Returns ``(z, histories, violations, tols)``, one entry per
+    column.
     """
     p, dim = x_a.shape[1], design.shape[1]
-    pin = p + basis_index
-    lam = penalty.copy()
-    lam[pin] = 0.0
-    z, sign, free, at_box = np.zeros(dim), np.zeros(dim), [], np.zeros(dim, dtype=bool)
-    z[pin] = 1.0
-    tol = PD_KKT_RTOL * max(1.0, float(np.abs(np.delete(gram[:, pin], pin)).max()))
+    ids = np.arange(len(columns))
+    pin = p + np.asarray(columns, dtype=int)
+    z, sign = np.zeros((ids.size, dim)), np.zeros((ids.size, dim))
+    z[ids, pin] = 1.0
+    free, at_box = np.zeros((ids.size, dim), dtype=bool), np.zeros((ids.size, dim), dtype=bool)
+    order, n_free = np.zeros((ids.size, dim), dtype=int), np.zeros(ids.size, dtype=int)
+    cross = np.abs(gram[:, pin].T)  # |c|, each column's cross terms
+    cross[ids, pin] = -np.inf
+    cross = cross.max(axis=1)
+    tol = tols = PD_KKT_RTOL * np.where(cross > 1.0, cross, 1.0)
+    out_z, out_viol = np.empty_like(z), np.empty(ids.size)
+    out_steps = np.empty(ids.size, dtype=int)
+    base = ids * dim  # flat offset of each live row
 
     def evaluate():
-        fit = design @ z
-        grad = 2.0 * (design.T @ fit)
-        viol = np.abs(grad) - lam
-        viol[free] = np.abs(grad[free] + lam[free] * sign[free])
-        viol[at_box] = grad[at_box] * sign[at_box] + lam[at_box]
-        viol[pin] = -np.inf
-        return float(fit @ fit + lam @ np.abs(z)), grad, viol
+        fit = (z[:, None, :] @ design.T)[:, 0]
+        grad = 2.0 * (fit[:, None, :] @ design)[:, 0]
+        viol = np.where(free, np.abs(grad + penalty * sign), np.abs(grad) - penalty)
+        viol = np.where(at_box, grad * sign + penalty, viol)
+        at_pin = base + pin
+        viol.put(at_pin, -np.inf)
+        size = np.abs(z)
+        size.put(at_pin, 0.0)  # the pinned entry carries no penalty
+        objective = ((fit[:, None, :] @ fit[:, :, None])
+                     + (size[:, None, :] @ penalty[:, None]))[:, 0, 0]
+        return objective, grad, viol
 
-    objective, grad, viol = evaluate()
-    history = [objective]
-    while np.isfinite(objective) and len(history) <= PD_MAX_STEPS:
-        enter = int(np.argmax(viol))
-        if viol[enter] <= tol:
-            break
-        idx = np.array(free, dtype=int)
-        if free and viol[idx].max() > tol:
-            enter, sub = None, gram[idx[:, None], idx]
-            step = np.linalg.solve(sub, -0.5 * (grad[idx] + lam[idx] * sign[idx]))
-        else:
-            if at_box[enter]:
-                at_box[enter], direction = False, -sign[enter]
-            else:
-                direction = sign[enter] = -np.sign(grad[enter])
-            idx = np.append(idx, enter)
-            sub = gram[idx[:, None], idx]
-            step = np.append(-direction * np.linalg.solve(sub[:-1, :-1], sub[:-1, -1]), direction)
-        slope = float((grad[idx] + lam[idx] * sign[idx]) @ step)
-        curvature = float(step @ sub @ step)
-        if not slope < 0.0:
-            break  # no descent direction left at this precision: stop unconverged
-        length = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
-        z_idx = z[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            limits = np.concatenate([
-                np.where(z_idx * step < 0.0, -z_idx / step, np.inf),
-                np.where((idx >= p) & (z_idx * step >= 0.0) & (step != 0.0),
-                         (1.0 - np.abs(z_idx)) / np.abs(step), np.inf),
-            ])
-        blocked = int(np.argmin(limits))
-        length = min(length, float(limits[blocked]))
-        if not np.isfinite(length):
-            break
-        z[idx] += length * step
-        if enter is not None:
-            free.append(enter)
-        if length == limits[blocked]:
-            k = int(idx[blocked % idx.size])
-            free.remove(k)
-            z[k] = 0.0 if blocked < idx.size else sign[k]
-            at_box[k] = blocked >= idx.size
+    # overflow and 0/0 show up as a non-finite objective or step, which stop
+    # the column, rather than as warnings
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         objective, grad, viol = evaluate()
-        history.append(objective)
-    violation = max(float(viol.max()), 0.0)
+        rounds = [(ids, objective)]
+        while ids.size:
+            steps = len(rounds) - 1
+            enter = viol.argmax(axis=1)
+            at = base + enter
+            stop = ~np.isfinite(objective) | (viol.take(at) <= tol)
+            if steps >= PD_MAX_STEPS:
+                stop[:] = True
+            newton = np.where(free, viol, -np.inf).max(axis=1) > tol
+            # an entering entry moves off the box towards 0, or off 0 downhill
+            entering = ~(stop | newton)
+            boxed, sign_at = at_box.take(at), sign.take(at)
+            direction = np.where(boxed, -sign_at, -np.sign(grad.take(at)))
+            at_box.put(at, boxed & ~entering)
+            sign.put(at, np.where(entering & ~boxed, direction, sign_at))
+            width = n_free + entering
+            moving = (~stop).nonzero()[0]
+            widths = sorted(set(width[moving].tolist()))
+            for m in widths:
+                group = moving if len(widths) == 1 else moving[width[moving] == m]
+                nt = newton[group]
+                n_newton = np.count_nonzero(nt)
+                idx = order[group, :m]
+                idx[:, -1] = np.where(nt, idx[:, -1], enter[group])
+                flat = base[group, None] + idx
+                sub = gram.take(idx[:, :, None] * dim + idx[:, None, :])
+                lin = grad.take(flat) + penalty.take(idx) * sign.take(flat)
+                if n_newton == group.size:
+                    step = _newton_steps(sub, lin)
+                elif n_newton == 0:
+                    step = _entering_steps(sub, direction[group])
+                else:
+                    step = np.empty((group.size, m))
+                    step[nt] = _newton_steps(sub[nt], lin[nt])
+                    step[~nt] = _entering_steps(sub[~nt], direction[group[~nt]])
+                slope = (lin[:, None, :] @ step[:, :, None])[:, 0, 0]
+                curvature = ((step[:, None, :] @ sub) @ step[:, :, None])[:, 0, 0]
+                length = np.where(curvature > 0.0, -slope / (2.0 * curvature), np.inf)
+                z_idx = z.take(flat)
+                z_step = z_idx * step
+                limits = np.concatenate([
+                    np.where(z_step < 0.0, -z_idx / step, np.inf),
+                    np.where((idx >= p) & (z_step >= 0.0) & (step != 0.0),
+                             (1.0 - np.abs(z_idx)) / np.abs(step), np.inf),
+                ], axis=1)
+                blocked = limits.argmin(axis=1)
+                bound = limits.min(axis=1)
+                length = np.where(bound < length, bound, length)
+                # no descent direction or no finite step: stop unconverged
+                ok = (slope < 0.0) & np.isfinite(length)
+                if not ok.all():
+                    stop[group[~ok]] = True
+                    group, idx, flat, step, z_idx = (a[ok] for a in (group, idx, flat, step, z_idx))
+                    length, blocked, bound = length[ok], blocked[ok], bound[ok]
+                z.put(flat, z_idx + length[:, None] * step)
+                free.put(flat[:, -1], True)
+                order[group, m - 1] = idx[:, -1]
+                n_free[group] = m
+                hit = length == bound
+                if hit.any():
+                    # a blocked entry leaves the free list, at 0 or at the box,
+                    # and the later entries move up one place
+                    group, idx, flat, blocked = group[hit], idx[hit], flat[hit], blocked[hit]
+                    gone = blocked % m
+                    order[group, :m] = np.where(np.arange(m) < gone[:, None], idx,
+                                                np.concatenate([idx[:, 1:], idx[:, :1]], axis=1))
+                    n_free[group] = m - 1
+                    left = flat[np.arange(group.size), gone]
+                    at_zero = blocked < m
+                    free.put(left, False)
+                    z.put(left, np.where(at_zero, 0.0, sign.take(left)))
+                    at_box.put(left, ~at_zero)
+            if stop.any():
+                worst = viol[stop].max(axis=1)
+                out_z[ids[stop]] = z[stop]
+                out_viol[ids[stop]] = np.where(0.0 > worst, 0.0, worst)
+                out_steps[ids[stop]] = steps
+                keep = ~stop
+                z, sign, free, at_box, order, n_free, pin, tol, ids = (
+                    a[keep] for a in (z, sign, free, at_box, order, n_free, pin, tol, ids))
+                if not ids.size:
+                    break
+                base = np.arange(ids.size) * dim
+            objective, grad, viol = evaluate()
+            rounds.append((ids, objective))
+    history = np.full((len(rounds), out_z.shape[0]), np.nan)
+    for t, (live, values) in enumerate(rounds):
+        history[t, live] = values
+    histories = [history[: s + 1, j].copy() for j, s in enumerate(out_steps)]
+    return out_z, histories, out_viol, tols
+
+
+def _result(x_a, k_b, basis_index, z, history, violation, tol) -> PrimalDualResult:
+    """One column of ``_fit_batch`` as a ``PrimalDualResult``, with its image correlation."""
+    p = x_a.shape[1]
     w, beta = z[:p].copy(), z[p:].copy()
     (correlation,) = unit_images(x_a @ w[:, None], k_b @ beta[:, None])[2]
     return PrimalDualResult(
-        w_a=w, beta=beta, objective=objective, correlation=float(correlation),
+        w_a=w, beta=beta, objective=float(history[-1]), correlation=float(correlation),
         basis_index=int(basis_index), degenerate=not np.any(w),
-        converged=bool(violation <= tol), n_iterations=len(history) - 1,
-        objective_history=np.asarray(history), kkt_violation=violation,
+        converged=bool(violation <= tol), n_iterations=history.size - 1,
+        objective_history=history, kkt_violation=float(violation),
     )
 
 
@@ -305,30 +396,38 @@ def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int) -> Prim
     once every KKT violation (``|g_i| - pen_i`` off the support, ``|g_i +
     pen_i sign_i|`` on it, ``g_i sign_i + pen_i`` at the box) is at most
     ``PD_KKT_RTOL * max(1, max|c|)``, or with ``converged=False`` after
-    ``PD_MAX_STEPS`` steps.  Raises ``NumericalError`` when the objective is
+    ``PD_MAX_STEPS`` steps (read at call time) or when no descent direction or
+    no finite step is left at working precision.  The fit is the lockstep
+    solve of ``scan_basis`` run as a batch of one column, and has the bits of
+    that column in the scan.  Raises ``NumericalError`` when the objective is
     not finite.
     """
     x_a, k_b, design, gram, penalty = _stacked_problem(x_a, k_b, mu, gamma)
     if not 0 <= basis_index < k_b.shape[0]:
         raise ValueError(f"basis_index must lie in [0, {k_b.shape[0]}), got {basis_index}")
-    result = _fit_basis(x_a, k_b, design, gram, penalty, basis_index)
-    if not np.isfinite(result.objective):
-        raise NumericalError(f"objective for basis {basis_index} is not finite: {result.objective}")
-    return result
+    z, (history,), violation, tol = _fit_batch(x_a, k_b, design, gram, penalty, [basis_index])
+    if not np.isfinite(history[-1]):
+        raise NumericalError(f"objective for basis {basis_index} is not finite: {history[-1]}")
+    return _result(x_a, k_b, basis_index, z[0], history, violation[0], tol[0])
 
 
 def scan_basis(x_a, k_b, mu: float, gamma: float) -> PrimalDualResult:
     """Fit every kernel basis column and keep the lowest-objective solution.
 
-    Every column runs the solve of ``fit_primal_dual`` on one shared Gram
-    matrix of ``[X_a, -K_b]``, so the winner is bit-equal to the pinned fit of
-    its column.  A column whose objective is not finite counts as failed; ties
-    in the objective go to the smaller basis index.  Raises ``NumericalError``
-    if every column fails.
+    All columns run the active-set solve of ``fit_primal_dual`` in lockstep
+    on one shared Gram matrix of ``[X_a, -K_b]``: each round moves every
+    unfinished column by one step, with the solves stacked by size.  A
+    column's bits do not depend on the columns beside it, so the winner is
+    bit-equal to the pinned fit of its column; only the winner's image
+    correlation is computed.  A column whose objective is not finite counts as
+    failed; ties in the objective go to the smaller basis index.  Raises
+    ``NumericalError`` if every column fails.
     """
     x_a, k_b, design, gram, penalty = _stacked_problem(x_a, k_b, mu, gamma)
-    results = [_fit_basis(x_a, k_b, design, gram, penalty, j) for j in range(k_b.shape[0])]
-    finite = [res for res in results if np.isfinite(res.objective)]
-    if not finite:
+    z, histories, violations, tols = _fit_batch(x_a, k_b, design, gram, penalty,
+                                                range(k_b.shape[0]))
+    objectives = np.array([history[-1] for history in histories])
+    if not np.isfinite(objectives).any():
         raise NumericalError("every basis column failed to fit: no objective is finite")
-    return min(finite, key=lambda res: res.objective)
+    j = int(np.argmin(np.where(np.isfinite(objectives), objectives, np.inf)))
+    return _result(x_a, k_b, j, z[j], histories[j], violations[j], tols[j])

@@ -589,6 +589,11 @@ class TestHelpers:
         jittered = a + 1e-15 * np.triu(np.ones_like(a))
         check_symmetric(jittered)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_check_symmetric_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=r"must be square, got shape"):
+            check_symmetric(np.zeros(shape))
+
     def test_check_symmetric_rejects_nonfinite(self):
         a = np.eye(2)
         a[0, 1] = np.nan

@@ -1,6 +1,8 @@
 """Sparse weights: soft threshold, budgeted unit solve, penalised rank-1
 decomposition, and the primal-dual basis-matching variant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -21,9 +23,11 @@ from cancorr import (
     sparse_unit_solve,
     standardize,
 )
+from cancorr import sparse as sparse_module
 from cancorr.dataset import covariance_blocks
 from cancorr.kernel import center_gram, gram
 from cancorr.numerics import unit_images
+from cancorr.sparse import PrimalDualResult
 
 PLANTED_PAIRS = {(2, 0), (0, 1), (3, 2)}
 
@@ -270,8 +274,6 @@ class TestFitPmd:
         assert res.sigmas[0] == 2.0
 
     def test_non_convergence_is_flagged(self, monkeypatch):
-        import cancorr.sparse as sparse_module
-
         monkeypatch.setattr(sparse_module, "PMD_MAX_ITER", 1)
         rng = np.random.default_rng(4)
         res = fit_pmd(rng.standard_normal((10, 8)), 1.4, 1.4, 1)
@@ -288,6 +290,10 @@ class TestFitPmd:
             fit_pmd(np.zeros((3, 3)), 1.5, 1.5, 1)
         with pytest.raises(ValueError, match="non-finite"):
             fit_pmd(np.full((3, 3), np.nan), 1.5, 1.5, 1)
+        with pytest.raises(ValueError, match="must be 2-d"):
+            fit_pmd(np.ones(3), 1.5, 1.5, 1)
+        with pytest.raises(ValueError, match="must be 2-d"):
+            fit_pmd(np.ones((3, 3, 3)), 1.5, 1.5, 1)
 
     @pytest.mark.parametrize("budgets", [(np.nan, 1.2), (1.2, np.nan), (np.inf, 1.2),
                                          (1.2, np.inf)])
@@ -363,6 +369,13 @@ class TestFitPrimalDual:
             fit_primal_dual(x_a, k_b, -0.1, 0.1, 0)
         with pytest.raises(ValueError, match="row counts differ"):
             fit_primal_dual(x_a, np.eye(8), 0.1, 0.1, 0)
+        shape_error = "expected a 2-d view and a square kernel matrix"
+        with pytest.raises(ValueError, match=shape_error):
+            fit_primal_dual(x_a[:, 0], k_b, 0.1, 0.1, 0)
+        with pytest.raises(ValueError, match=shape_error):
+            scan_basis(x_a, np.ones((10, 9)), 0.1, 0.1)
+        with pytest.raises(ValueError, match=shape_error):
+            scan_basis(x_a, np.ones(10), 0.1, 0.1)
 
     @pytest.mark.parametrize("mu, gamma", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
                                            (0.1, np.inf)])
@@ -384,9 +397,10 @@ class TestScanBasis:
         best = scan_basis(x_a, k_b, 0.05, 0.05)
         manual = [fit_primal_dual(x_a, k_b, 0.05, 0.05, k) for k in range(3)]
         objectives = [m.objective for m in manual]
-        # gemv rounding depends on how many problems run side by side
-        assert abs(best.objective - min(objectives)) <= 1e-12
+        # a column's fit does not depend on how many columns run beside it
+        assert best.objective == min(objectives)
         assert best.basis_index == int(np.argmin(objectives))
+        assert_same_bits(best, manual[best.basis_index])
 
     def test_duplicated_observations_give_equal_objectives(self):
         rng = np.random.default_rng(9)
@@ -409,11 +423,11 @@ class TestScanBasis:
         assert 0.5 <= best.correlation < 1.0
         assert np.count_nonzero(best.w_a) <= 0.2 * data.p
         assert best.objective >= 0.0
-        # self-consistency: re-running the winning basis reproduces the result
-        # up to the gemv rounding of a one-problem batch
+        # self-consistency: re-running the winning basis alone reproduces its bits
         rerun = fit_primal_dual(data.view_a, k_b, penalty, penalty, best.basis_index)
-        assert abs(rerun.objective - best.objective) <= 1e-12
-        assert np.abs(rerun.w_a - best.w_a).max() <= 1e-12
+        assert rerun.objective == best.objective
+        assert np.array_equal(rerun.w_a, best.w_a)
+        assert_same_bits(rerun, best)
 
     def test_all_failures_raise(self):
         # the objective overflows to NaN for every basis column
@@ -423,10 +437,40 @@ class TestScanBasis:
                 scan_basis(x_a, 1e200 * np.eye(6), 0.1, 0.1)
             with pytest.raises(NumericalError, match="not finite"):
                 fit_primal_dual(x_a, 1e200 * np.eye(6), 0.1, 0.1, 2)
+        with pytest.raises(NumericalError, match="every basis column failed"):
+            scan_basis(np.zeros((0, 3)), np.zeros((0, 0)), 0.1, 0.1)
+
+    def test_no_finite_step_stops_unconverged(self):
+        """The entering column's squared norm, 1e-328, underflows to 0, so the
+        line minimum is infinite, and a primal entry has no box to stop it."""
+        x_a, k_b = np.array([[1e-164]]), np.array([[1e153]])
+        reference, stop = scalar_active_set(x_a, k_b, 0.0, 0.0, 0)
+        assert stop == "no finite step"
+        for res in (fit_primal_dual(x_a, k_b, 0.0, 0.0, 0), scan_basis(x_a, k_b, 0.0, 0.0)):
+            assert_same_bits(res, reference)
+            assert not res.converged and res.n_iterations == 0
+            assert res.kkt_violation == pytest.approx(2e-11, rel=1e-12)
+            assert res.kkt_violation == pytest.approx(kkt_violation(x_a, k_b, 0.0, 0.0, res),
+                                                      rel=1e-12)
+
+    def test_no_descent_direction_stops_unconverged(self):
+        """Two primal columns 1e-9 apart: once both are free their Gram block is
+        singular at this precision, a step lands far uphill, and the next
+        direction is no descent direction."""
+        rng = np.random.default_rng(52)
+        v = rng.standard_normal(5)
+        x_a = np.column_stack([v, v + 1e-9 * rng.standard_normal(5)])
+        k_b = center_gram(gram(rng.standard_normal((5, 2)), KernelSpec("linear")))
+        reference, stop = scalar_active_set(x_a, k_b, 0.0, 1e6, 0)
+        assert stop == "no descent"
+        res = fit_primal_dual(x_a, k_b, 0.0, 1e6, 0)
+        assert_same_bits(res, reference)
+        assert not res.converged and res.n_iterations < sparse_module.PD_MAX_STEPS
+        assert res.kkt_violation > 1.0
+        assert res.kkt_violation == pytest.approx(kkt_violation(x_a, k_b, 0.0, 1e6, res),
+                                                  rel=1e-6)
 
     def test_step_cap_is_flagged(self, monkeypatch):
-        import cancorr.sparse as sparse_module
-
         data, k_b, penalty = noise_fixture()
         monkeypatch.setattr(sparse_module, "PD_MAX_STEPS", 3)
         capped = fit_primal_dual(data.view_a, k_b, penalty, penalty, 7)
@@ -507,6 +551,118 @@ def kkt_violation(x_a, k_b, mu, gamma, res) -> float:
     return max(float(viol.max()), 0.0)
 
 
+def scalar_active_set(x_a, k_b, mu, gamma, basis_index):
+    """The active-set solve of one basis column, one numpy call per product
+    and per solve: the bit-for-bit reference of the lockstep solver.
+
+    Returns the fit and the rule that stopped it: ``"kkt"``, ``"objective"``
+    (not finite), ``"cap"`` (``PD_MAX_STEPS`` steps), ``"no descent"`` or
+    ``"no finite step"``.
+    """
+    n, p = x_a.shape
+    design = np.hstack([x_a, -k_b])
+    gram_ = design.T @ design
+    dim = design.shape[1]
+    pin = p + basis_index
+    lam = np.repeat([float(mu), float(gamma)], [p, n])
+    lam[pin] = 0.0
+    z, sign, free, at_box = np.zeros(dim), np.zeros(dim), [], np.zeros(dim, dtype=bool)
+    z[pin] = 1.0
+    tol = sparse_module.PD_KKT_RTOL * max(1.0, float(np.abs(np.delete(gram_[:, pin], pin)).max()))
+
+    def evaluate():
+        fit = design @ z
+        grad = 2.0 * (design.T @ fit)
+        viol = np.abs(grad) - lam
+        viol[free] = np.abs(grad[free] + lam[free] * sign[free])
+        viol[at_box] = grad[at_box] * sign[at_box] + lam[at_box]
+        viol[pin] = -np.inf
+        return float(fit @ fit + lam @ np.abs(z)), grad, viol
+
+    objective, grad, viol = evaluate()
+    history, stop = [objective], None
+    while np.isfinite(objective) and len(history) <= sparse_module.PD_MAX_STEPS:
+        enter = int(np.argmax(viol))
+        if viol[enter] <= tol:
+            stop = "kkt"
+            break
+        idx = np.array(free, dtype=int)
+        if free and viol[idx].max() > tol:
+            enter, sub = None, gram_[idx[:, None], idx]
+            step = np.linalg.solve(sub, -0.5 * (grad[idx] + lam[idx] * sign[idx]))
+        else:
+            if at_box[enter]:
+                at_box[enter], direction = False, -sign[enter]
+            else:
+                direction = sign[enter] = -np.sign(grad[enter])
+            idx = np.append(idx, enter)
+            sub = gram_[idx[:, None], idx]
+            step = np.append(-direction * np.linalg.solve(sub[:-1, :-1], sub[:-1, -1]), direction)
+        slope = float((grad[idx] + lam[idx] * sign[idx]) @ step)
+        curvature = float(step @ sub @ step)
+        if not slope < 0.0:
+            stop = "no descent"
+            break
+        length = -slope / (2.0 * curvature) if curvature > 0.0 else np.inf
+        z_idx = z[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            limits = np.concatenate([
+                np.where(z_idx * step < 0.0, -z_idx / step, np.inf),
+                np.where((idx >= p) & (z_idx * step >= 0.0) & (step != 0.0),
+                         (1.0 - np.abs(z_idx)) / np.abs(step), np.inf),
+            ])
+        blocked = int(np.argmin(limits))
+        length = min(length, float(limits[blocked]))
+        if not np.isfinite(length):
+            stop = "no finite step"
+            break
+        z[idx] += length * step
+        if enter is not None:
+            free.append(enter)
+        if length == limits[blocked]:
+            k = int(idx[blocked % idx.size])
+            free.remove(k)
+            z[k] = 0.0 if blocked < idx.size else sign[k]
+            at_box[k] = blocked >= idx.size
+        objective, grad, viol = evaluate()
+        history.append(objective)
+    if stop is None:
+        stop = "cap" if np.isfinite(objective) else "objective"
+    violation = max(float(viol.max()), 0.0)
+    w, beta = z[:p].copy(), z[p:].copy()
+    (correlation,) = unit_images(x_a @ w[:, None], k_b @ beta[:, None])[2]
+    return PrimalDualResult(
+        w_a=w, beta=beta, objective=objective, correlation=float(correlation),
+        basis_index=int(basis_index), degenerate=not np.any(w),
+        converged=bool(violation <= tol), n_iterations=len(history) - 1,
+        objective_history=np.asarray(history), kkt_violation=violation,
+    ), stop
+
+
+def assert_same_bits(result, reference):
+    """Every field of two primal-dual fits has the same type, shape and bits."""
+    for field in dataclasses.fields(PrimalDualResult):
+        got, want = getattr(result, field.name), getattr(reference, field.name)
+        assert type(got) is type(want), field.name
+        assert np.shape(got) == np.shape(want), field.name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+
+def assert_batch_matches_scalar_solve(x_a, k_b, mu, gamma):
+    """Every column of the lockstep batch, the scan's winner and the pinned fit
+    of the winning column carry the bits of the per-column reference."""
+    references = [scalar_active_set(x_a, k_b, mu, gamma, j)[0] for j in range(k_b.shape[0])]
+    problem = sparse_module._stacked_problem(x_a, k_b, mu, gamma)
+    z, histories, violations, tols = sparse_module._fit_batch(*problem, range(k_b.shape[0]))
+    for j, reference in enumerate(references):
+        assert_same_bits(sparse_module._result(x_a, k_b, j, z[j], histories[j], violations[j],
+                                               tols[j]), reference)
+    best = scan_basis(x_a, k_b, mu, gamma)
+    assert_same_bits(best, references[best.basis_index])
+    assert_same_bits(fit_primal_dual(x_a, k_b, mu, gamma, best.basis_index),
+                     references[best.basis_index])
+
+
 def random_instance():
     rng = np.random.default_rng(1)
     x_a = rng.standard_normal((30, 20))
@@ -562,6 +718,12 @@ def test_default_penalty_scan_keeps_its_basis_on_example10():
     assert chosen == [23, 34, 43, 31, 5, 2, 15, 5, 37, 36, 45, 20, 43, 36, 8, 41]
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_lockstep_scan_matches_the_scalar_solve_on_example10(seed):
+    x_a, k_b, penalty = cli_default_problem(seed)
+    assert_batch_matches_scalar_solve(x_a, k_b, penalty, penalty)
+
+
 def paired_views(seed: int, n: int, p: int, q: int, duplicate: bool) -> PairedDataset:
     """Standardized random views; with ``duplicate`` view b is a copy of view a
     (and has p columns)."""
@@ -609,7 +771,8 @@ def test_primal_dual_fits_keep_their_invariants(seed, n, dims, duplicate, gaussi
     """The pinned dual entry is 1 and no entry exceeds it, the objective is finite,
     nonnegative and never increases, the correlation lies in [-1, 1], and a fit is
     degenerate exactly when its primal weights are zero; the fit converges and
-    its KKT certificate holds.
+    its KKT certificate holds.  Every column, batched or alone, carries the bits
+    of the per-column reference.
     """
     data = paired_views(seed, n, *dims, duplicate)
     spec = KernelSpec("gaussian", median_heuristic(data.view_b)) if gaussian else KernelSpec("linear")
@@ -627,3 +790,8 @@ def test_primal_dual_fits_keep_their_invariants(seed, n, dims, duplicate, gaussi
         assert res.degenerate == (not np.any(res.w_a))
         assert res.converged and res.kkt_violation <= 1e-9
         assert kkt_violation(data.view_a, k_b, mu, gamma, res) <= 1e-9
+    # every column's first step enters with an empty free set (a 0 x 0
+    # solve) and a second entry solves k = 1 systems
+    assert_batch_matches_scalar_solve(data.view_a, k_b, mu, gamma)
+    pinned = fit_primal_dual(data.view_a, k_b, mu, gamma, seed % n)
+    assert_same_bits(pinned, scalar_active_set(data.view_a, k_b, mu, gamma, seed % n)[0])
