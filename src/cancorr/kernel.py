@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.distance import cdist, pdist
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
@@ -18,11 +16,17 @@ from .numerics import (
     well_conditioned,
 )
 
+# scipy.linalg is imported inside the functions that call it: the pdscca
+# command uses none of them and starts faster without it.
+
 # The direct fit inverts two ridged n x n Grams and forms an n x n product
 # and its n x n Gram; even with Lanczos taking only the top singular triplets
 # (``top_svd``), that is only sensible at desk scale, and larger problems go
 # through the reduced route.
 DIRECT_N_LIMIT = 2000
+# Entries per row block of the distance loop, which bounds its temporaries
+# (0.5 MB each).
+DIST_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -41,21 +45,75 @@ class KernelSpec:
                 raise ValueError(f"gaussian kernel needs a positive finite width (2 width^2 > 0), got {w}")
 
 
+def _squared_distances(xt: np.ndarray, rows: slice, cols: slice, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the squared Euclidean distances from the ``rows`` of
+    ``x`` to its ``cols``, given ``xt``, the C-order transpose of ``x``.
+
+    Each feature's squared difference is added left to right, the order in
+    which scipy's ``cdist`` and ``pdist`` (``"sqeuclidean"``) sum, so every
+    entry has their bits.  Entries (i, j) and (j, i) add the same squares in
+    the same order, and (i, i) is 0.  One temporary of ``out``'s size holds
+    a feature's differences.
+    """
+    if not xt.shape[0]:
+        out.fill(0.0)
+        return out
+    np.subtract(xt[0, rows, None], xt[0, None, cols], out=out)
+    np.multiply(out, out, out=out)
+    if xt.shape[0] > 1:
+        diff = np.empty_like(out)
+        for col in xt[1:]:
+            np.subtract(col[rows, None], col[None, cols], out=diff)
+            np.multiply(diff, diff, out=diff)
+            out += diff
+    return out
+
+
+def _row_blocks(n: int):
+    """Slices of the ``n`` rows into blocks of ``DIST_BLOCK // n`` rows (at least one)."""
+    step = max(1, DIST_BLOCK // max(n, 1))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _pair_distances(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the pairs i < j of rows of ``x``.
+
+    Row block by row block, ``_squared_distances`` gives the pairs inside the
+    block's diagonal square, then the block's rows against every later row,
+    written straight into place.  The values have the bits of scipy's
+    ``pdist(x, "sqeuclidean")``, in another order.
+    """
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    d = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for block in _row_blocks(n):
+        m, rest = block.stop - block.start, n - block.stop
+        square = _squared_distances(xt, block, block, np.empty((m, m)))
+        d[filled:filled + m * (m - 1) // 2] = square[np.triu_indices(m, 1)]
+        filled += m * (m - 1) // 2
+        _squared_distances(xt, block, slice(block.stop, n),
+                           d[filled:filled + m * rest].reshape(m, rest))
+        filled += m * rest
+    return d
+
+
 def median_heuristic(x) -> float:
     """Median pairwise Euclidean distance between observations (rows of ``x``).
 
     With an even number of pairs the mean of the two central order statistics
     is returned, which is plain ``numpy.median`` behaviour.  The selection runs
-    in place on the squared distances, and only the one or two central values
-    are square-rooted; ``pdist``'s Euclidean distance is the square root of
-    its squared one, so the result equals ``np.median(pdist(x))`` bit for bit.
+    in place on the squared distances (``_pair_distances``, whose order it
+    ignores), and only the one or two central values are square-rooted;
+    ``pdist``'s Euclidean distance is the square root of its squared one, so
+    the result equals ``np.median(pdist(x))`` bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("median heuristic needs a 2-d array with at least two rows")
     if not np.isfinite(x).all():
         raise ValueError("median heuristic needs finite observations")
-    d = pdist(x, "sqeuclidean")
+    d = _pair_distances(x)
     half = d.size // 2
     d.partition(half)
     upper = np.sqrt(d[half])
@@ -68,19 +126,28 @@ def median_heuristic(x) -> float:
 def gram(x, spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the rows of ``x`` under ``spec``.
 
-    The gaussian kernel ``exp(-||xi - xj||^2 / (2 width^2))`` is taken in place on one
-    ``cdist`` square: entry (i, j) sums the same squares in the same order as (j, i), and
-    (i, i) is 0, so it is exactly symmetric and ``exp(-0.0) = 1`` fills the diagonal.
+    The gaussian kernel ``exp(-||xi - xj||^2 / (2 width^2))`` is taken in place,
+    block by block, on the squared distances of ``_squared_distances``, which
+    have the bits of scipy's ``cdist(x, x, "sqeuclidean")``: entry (i, j)
+    equals (j, i) and (i, i) is 0, so the Gram is exactly symmetric and
+    ``exp(-0.0) = 1`` fills the diagonal.  Besides the output only one
+    block-sized temporary is allocated.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if spec.kind == "linear":
         return x @ x.T
-    k = cdist(x, x, "sqeuclidean")
-    np.negative(k, out=k)
-    k /= 2.0 * spec.width**2
-    return np.exp(k, out=k)
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    k = np.empty((n, n))
+    scale = 2.0 * spec.width**2
+    for block in _row_blocks(n):
+        out = _squared_distances(xt, block, slice(0, n), k[block])
+        np.negative(out, out=out)
+        out /= scale
+        np.exp(out, out=out)
+    return k
 
 
 def center_gram(k) -> np.ndarray:
@@ -208,6 +275,8 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
     the upper triangle of ``k``; ``GramPair`` holds the two triangles within
     ``SYM_RTOL``.
     """
+    import scipy.linalg
+
     work = np.array(k.T, order="F")
     norm = scipy.linalg.norm(work, np.inf, check_finite=False) + c
     work[np.diag_indices_from(work)] += c
@@ -291,6 +360,8 @@ def fit_kernel_cca(grams: GramPair, c1: float, c2: float, r: int) -> KernelCcaMo
 def _reduced_cholesky(block: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a reduced gram block, computed in place when
     ``block`` is in F order."""
+    import scipy.linalg
+
     try:
         return scipy.linalg.cholesky(block, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
@@ -343,6 +414,8 @@ def fit_kernel_cca_pgso(
     r : int
         Number of components.
     """
+    import scipy.linalg
+
     _check_pgso(kappa, eta, r)
     eta_a = 1e-6 * float(np.trace(grams.k_a)) if eta is None else float(eta)
     eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)

@@ -18,7 +18,7 @@ from scipy.special import chdtri
 
 # Relative symmetry tolerance for inputs that must be symmetric.
 SYM_RTOL = 1e-12
-# Rows per block of the symmetry check.
+# Rows per tile of the symmetry check.
 SYM_BLOCK = 256
 # Condition-number ceiling; blocks beyond this are treated as singular.
 COND_LIMIT = 1e10
@@ -42,20 +42,35 @@ def check_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is square and symmetric within relative tolerance ``SYM_RTOL``.
 
     The largest ``|a_ij - a_ji|`` must not exceed ``SYM_RTOL * max(max |a|, 1)``.
-    Both maxima are taken in one pass over ``SYM_BLOCK``-row blocks, so the
-    temporaries stay a block in size.
+    Both maxima are taken in one pass over square tiles of ``SYM_BLOCK`` rows:
+    each tile on or above the diagonal is compared with its mirror below, so
+    both are read once and from cache, and the one temporary is a tile.  The
+    largest absolute value of a tile is taken as ``max(max, -min)``, which
+    is the same number and writes nothing.  A NaN or infinite entry makes the
+    largest one non-finite, and ``as_checked_array`` then refuses ``a``, as
+    it does before a non-square shape is refused.
     """
-    a = as_checked_array(a, name)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        as_checked_array(a, name)
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale, skew = 1.0, 0.0
-    for start in range(0, a.shape[0], SYM_BLOCK):
-        stop = start + SYM_BLOCK
-        rows = a[start:stop]
-        scale = max(scale, float(np.abs(rows).max()))
-        # |a - a.T| is symmetric: the columns from the diagonal on cover every pair
-        skew = max(skew, float(np.abs(rows[:, start:] - a[start:, start:stop].T).max()))
-    if skew > SYM_RTOL * scale:
+    n = a.shape[0]
+    work = np.empty(min(n, SYM_BLOCK) ** 2)
+    extremes, skews = [1.0], [0.0]
+    # inf - inf gives NaN quietly: the finiteness test below refuses it
+    with np.errstate(invalid="ignore"):
+        for i in range(0, n, SYM_BLOCK):
+            for j in range(i, n, SYM_BLOCK):
+                upper = a[i:i + SYM_BLOCK, j:j + SYM_BLOCK]
+                lower = a[j:j + SYM_BLOCK, i:i + SYM_BLOCK]
+                for tile in (upper,) if i == j else (upper, lower):
+                    extremes += [tile.max(), -tile.min()]
+                skew = np.subtract(upper, lower.T, out=work[:upper.size].reshape(upper.shape))
+                skews += [skew.max(), -skew.min()]
+    scale = np.max(extremes)  # unlike the builtin max, NaN wins
+    if not np.isfinite(scale):
+        as_checked_array(a, name)
+    if max(skews) > SYM_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within relative tolerance {SYM_RTOL:g}")
     return a
 
@@ -318,13 +333,27 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     the factor ``r`` with one column per elimination step, in the original row
     order (permuting rows by pivot order gives a lower-trapezoidal matrix).
 
-    LAPACK's blocked ``dpstrf`` does the elimination with the same pivot rule
-    and stops at the same pivot floor; the trace cutoff is applied afterwards
-    from the column norms, since the residual trace after ``j`` columns is
-    ``trace(k) - sum of the first j squared column norms``.  It works on a
-    Fortran-order copy of ``k.T``, a plain copy of the buffer, and so reads
-    the upper triangle of ``k``, which ``check_symmetric`` holds to the lower
-    one within ``SYM_RTOL``.
+    LAPACK's blocked ``dpstrf`` does the elimination with the same pivot rule.
+    The trace cutoff is applied afterwards from the column norms, since the
+    residual trace after ``j`` columns is ``trace(k) - sum of the first j
+    squared column norms``.  It works on a Fortran-order copy of ``k.T``, a
+    plain copy of the buffer, and so reads the upper triangle of ``k``, which
+    ``check_symmetric`` holds to the lower one within ``SYM_RTOL``.
+
+    ``dpstrf`` stops once its largest residual diagonal entry is at most its
+    ``tol``.  That is ``eta / (2 n)`` when this exceeds the pivot floor and
+    ``eta`` exceeds ``8 n^2 eps max(diag k)``, the allowance for roundoff;
+    otherwise it is the pivot floor.  The earlier stop keeps every bit of
+    the returned factor:
+
+    - ``tol`` enters ``dpstrf`` only in the comparison that stops it, so the
+      columns it computes before the stop do not depend on ``tol``;
+    - the factor cannot stop before the eta cut.  While the residual trace
+      exceeds ``eta``, the largest of its ``n`` diagonal entries exceeds
+      ``eta / n``.  At the stop, ``dpstrf``'s residual diagonal sums to at
+      most ``eta / 2``, and the trace from the column norms differs from that
+      sum by roundoff of order ``n^2 eps max(diag k)``, which the allowance
+      keeps below ``eta / 2``; so the cutoff has been reached by then.
 
     ``k`` passes as positive semi-definite while its diagonal and every row's
     ``residual_diagonal`` stay at or above ``-1e-9 * sum |diag k|``, a floor that
@@ -357,11 +386,13 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
         )
     # pivots below this are numerical zeros: extending would only add noise
     pivot_floor = 1e-12 * max(float(d.max()), 1.0)
+    # past this pivot the eta cut has been reached (see above)
+    eta_stop = eta / (2 * n)
+    allowance = 8.0 * n * n * np.finfo(float).eps * float(d.max())
+    tol = eta_stop if eta_stop > pivot_floor and eta > allowance else pivot_floor
     work = np.array(k.T, order="F")
     # info > 0 only reports a rank below n; these fixed arguments are all valid
-    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(
-        work, tol=pivot_floor, lower=1, overwrite_a=1
-    )
+    c, piv, rank, _ = scipy.linalg.lapack.dpstrf(work, tol=tol, lower=1, overwrite_a=1)
     # dpstrf leaves the input's strict upper triangle behind; each column of
     # the F-order work array is contiguous, so it is zeroed in place
     for j in range(1, rank):

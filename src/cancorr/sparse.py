@@ -209,16 +209,35 @@ def _stacked_problem(x_a, k_b, mu, gamma):
     return x_a, k_b, design, design.T @ design, np.repeat([float(mu), float(gamma)], [p, n])
 
 
+def _stacked_solve(a, b):
+    """``np.linalg.solve`` of a stack of systems, with NaN solutions for the
+    exactly singular ones instead of an error.
+
+    Only a stack that raises is solved again system by system; a lone
+    ``dgesv`` gives the bits of the same system inside a stack.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(a.shape[0]):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def _newton_steps(sub, lin):
     """Newton directions ``-sub^-1 lin / 2`` of sign-fixed problems, one per row."""
-    return np.linalg.solve(sub, -0.5 * lin[:, :, None])[:, :, 0]
+    return _stacked_solve(sub, -0.5 * lin[:, :, None])[:, :, 0]
 
 
 def _entering_steps(sub, direction):
     """Directions that move each row's last entry by ``direction`` and keep
     the stationarity of the others: ``-direction sub[:-1, :-1]^-1 sub[:-1, -1]``."""
     d = direction[:, None]
-    sol = np.linalg.solve(sub[:, :-1, :-1], sub[:, :-1, -1:])[:, :, 0]
+    sol = _stacked_solve(sub[:, :-1, :-1], sub[:, :-1, -1:])[:, :, 0]
     return np.concatenate([-d * sol, d], axis=1)
 
 
@@ -243,8 +262,9 @@ def _fit_batch(x_a, k_b, design, gram, penalty, columns):
     column's fit does not depend on the batch it runs in.  A column leaves the
     batch once it meets its KKT tolerance, its objective is not finite, it has
     taken ``PD_MAX_STEPS`` steps, or it finds no descent direction or no
-    finite step.  Returns ``(z, histories, violations, tols)``, one entry per
-    column.
+    finite step; an exactly singular free block gives a NaN step, which is
+    no finite step.  Returns ``(z, histories, violations, tols)``, one entry
+    per column.
     """
     p, dim = x_a.shape[1], design.shape[1]
     ids = np.arange(len(columns))
@@ -389,15 +409,18 @@ def fit_primal_dual(x_a, k_b, mu: float, gamma: float, basis_index: int) -> Prim
     Minimises ``||X_a w - K_b beta||^2 + mu ||w||_1 + gamma ||beta_rest||_1``
     with ``beta[basis_index]`` pinned to 1 and the other dual entries held in
     [-1, 1], so the sup norm is attained at the pinned entry.  That is one
-    box-constrained lasso in ``(w, beta_rest)``, solved exactly by an
-    active-set method (Osborne, Presnell & Turlach 2000) whose steps never
-    raise the objective.  With ``g`` the gradient of the squared fit and
-    ``c = [X_a, -K_b].T K_b[:, basis_index]`` off the pinned entry, it stops
-    once every KKT violation (``|g_i| - pen_i`` off the support, ``|g_i +
-    pen_i sign_i|`` on it, ``g_i sign_i + pen_i`` at the box) is at most
-    ``PD_KKT_RTOL * max(1, max|c|)``, or with ``converged=False`` after
-    ``PD_MAX_STEPS`` steps (read at call time) or when no descent direction or
-    no finite step is left at working precision.  The fit is the lockstep
+    box-constrained lasso in ``(w, beta_rest)``, solved by an active-set
+    method (Osborne, Presnell & Turlach 2000) whose steps never raise the
+    objective in exact arithmetic.  In floating point a nearly singular free
+    block can give a step that raises it by orders of magnitude, and an
+    exactly singular one gives no finite step.  With ``g`` the gradient of
+    the squared fit and ``c = [X_a, -K_b].T K_b[:, basis_index]`` off the
+    pinned entry, it stops once every KKT violation (``|g_i| - pen_i`` off
+    the support, ``|g_i + pen_i sign_i|`` on it, ``g_i sign_i + pen_i`` at
+    the box) is at most ``PD_KKT_RTOL * max(1, max|c|)``, or with
+    ``converged=False`` after ``PD_MAX_STEPS`` steps (read at call time) or
+    when no descent direction or no finite step is left at working
+    precision.  The fit is the lockstep
     solve of ``scan_basis`` run as a batch of one column, and has the bits of
     that column in the scan.  Raises ``NumericalError`` when the objective is
     not finite.

@@ -916,9 +916,10 @@ class TestStartUp:
           "--folds", "2", "--reps", "1"), 0, ("scipy.spatial",)),
         # example7's n = 150 is below top_svd's Lanczos crossover
         (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0,
-         ("scipy.sparse.linalg",)),
-        (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.sparse.linalg",)),
-        (("pdscca", "--recipe", "example10", "--basis", "0"), 0, ()),
+         ("scipy.sparse.linalg", "scipy.spatial")),
+        (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.sparse.linalg", "scipy.spatial")),
+        (("pdscca", "--recipe", "example10", "--basis", "0"), 0,
+         ("scipy.linalg", "scipy.spatial")),
         (("pmd", "--recipe", "example9", "--budget-a", "1.2", "--budget-b", "1.2",
           "--components", "3"), 0, ("scipy.linalg", "scipy.spatial")),
         (("simulate", "--recipe", "example1"), 0, ("scipy.linalg", "scipy.spatial")),
@@ -932,4 +933,11 @@ class TestStartUp:
         assert probe["marks"] == (2 if expect_exit == 0 else 1)
         assert probe["timed"] == []
         assert not set(absent) & set(probe["loaded"])
+
+    def test_no_source_file_imports_scipy_spatial(self):
+        # kernel distances come from a numpy loop; scipy.spatial's package
+        # init alone costs a kcca or pdscca launch about 0.1 s
+        src = Path(cli.__file__).resolve().parent
+        for path in sorted(src.glob("*.py")):
+            assert "scipy.spatial" not in path.read_text(encoding="utf-8"), path.name
 

@@ -45,6 +45,11 @@ class TestPairedDataset:
         with pytest.raises(ValueError, match="name counts"):
             PairedDataset(np.zeros((2, 2)), np.zeros((2, 2)), names_a=("x",))
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((5,), (5, 1)), ((5, 1), (5, 1, 1))])
+    def test_rejects_non_2d_views(self, shape_a, shape_b):
+        with pytest.raises(ValueError, match="views must be 2-d"):
+            PairedDataset(np.ones(shape_a), np.ones(shape_b))
+
 
 class TestStandardize:
     def test_hand_values(self):
@@ -201,6 +206,11 @@ class TestRecipes:
         d = generate_synthetic(recipe)
         corr = float(d.view_a[:, 0] @ d.view_b[:, 0]) / (d.n - 1)
         assert abs(corr - 0.98058) <= 0.01
+
+    @pytest.mark.parametrize("n, p, q", [(1, 1, 1), (10, 0, 1), (10, 1, 0)])
+    def test_recipe_dimensions_checked(self, n, p, q):
+        with pytest.raises(ValueError, match="recipe dimensions"):
+            SyntheticRecipe("bad", n=n, p=p, q=q)
 
     def test_relation_bounds_checked(self):
         with pytest.raises(ValueError, match="source"):

@@ -59,6 +59,9 @@ class TestBartlettLawley:
             bartlett_lawley([-0.1, 0.5], 50, 2, 2, 0)
         with pytest.raises(ValueError, match="at least two"):
             bartlett_lawley([0.5, 0.3], 1, 2, 2, 0)
+        # the leading k correlations enter as r^-2
+        with pytest.raises(ValueError, match="must be positive"):
+            bartlett_lawley([0.0, 0.0, 0.0], 60, 4, 3, 1)
 
     @given(st.integers(0, 300))
     def test_nonnegative_for_valid_inputs(self, seed):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from cancorr import (
     GramPair,
@@ -30,6 +30,7 @@ from cancorr import (
     median_heuristic,
     standardize,
 )
+from cancorr import kernel as kernel_module
 from cancorr.dataset import relation_signals
 from cancorr.kernel import KernelCcaModel, _assemble_kernel_model, _ridged_inverse
 from cancorr.numerics import (
@@ -438,6 +439,70 @@ class TestMedianHeuristic:
         assert abs(sig_b - 3.62) <= 0.15
 
 
+class TestSquaredDistances:
+    """The numpy distance loop against scipy's ``cdist`` and ``pdist``: the
+    square bit for bit, the pairs i < j bit for bit as a multiset."""
+
+    @staticmethod
+    def loop_square(x: np.ndarray) -> np.ndarray:
+        """The square through ``_squared_distances`` by row blocks, as ``gram`` runs it."""
+        n = x.shape[0]
+        xt = np.ascontiguousarray(x.T)
+        k = np.empty((n, n))
+        for block in kernel_module._row_blocks(n):
+            kernel_module._squared_distances(xt, block, slice(0, n), k[block])
+        return k
+
+    def assert_scipy_bits(self, x: np.ndarray) -> None:
+        assert np.array_equal(self.loop_square(x), cdist(x, x, "sqeuclidean"))
+        pairs = kernel_module._pair_distances(x)
+        assert np.array_equal(np.sort(pairs), np.sort(pdist(x, "sqeuclidean")))
+
+    @pytest.mark.parametrize("recipe, n", [("example1", None), ("example6", None),
+                                           ("example7", None), ("example8", 1500),
+                                           ("example9", None), ("example10", None)])
+    def test_recipes_at_sixteen_data_seeds(self, recipe, n):
+        for seed in range(16):
+            data = standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n)))
+            for x in (data.view_a, data.view_b):
+                self.assert_scipy_bits(x)
+
+    def test_example8_at_three_thousand_rows(self):
+        data = standardize(generate_synthetic(get_recipe("example8", seed=0, n=3000)))
+        for x in (data.view_a, data.view_b):
+            self.assert_scipy_bits(x)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 40),
+        p=st.sampled_from([1, 2, 3, 7, 8, 9, 31, 150]),
+        log_scale=st.floats(-200.0, 200.0),
+        duplicates=st.booleans(),
+        block=st.sampled_from([1, 7, 64, 2**16]),
+    )
+    def test_random_draws(self, seed, n, p, log_scale, duplicates, block):
+        """Scales whose squares underflow or overflow; blocks down to one row."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p)) * 10.0**log_scale
+        if duplicates:
+            x[n // 2:] = x[: n - n // 2]
+        with np.errstate(over="ignore", under="ignore"):
+            saved, kernel_module.DIST_BLOCK = kernel_module.DIST_BLOCK, block
+            try:
+                self.assert_scipy_bits(x)
+            finally:
+                kernel_module.DIST_BLOCK = saved
+
+    def test_two_rows_and_one_feature(self):
+        x = np.array([[0.5], [-2.0]])
+        assert np.array_equal(self.loop_square(x), [[0.0, 6.25], [6.25, 0.0]])
+        assert np.array_equal(kernel_module._pair_distances(x), [6.25])
+
+    def test_no_features(self):
+        self.assert_scipy_bits(np.zeros((4, 0)))
+
+
 class TestGramPair:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -728,6 +793,56 @@ class TestFitKernelCcaPgso:
             eta = 1e-6 * np.trace(k)
             assert np.array_equal(partial_gram_schmidt(k, eta), tril_partial_gram_schmidt(k, eta))
 
+    @pytest.mark.parametrize("recipe, n, seeds, fractions", [
+        ("example7", None, range(4), (0.0, 1e-6, 1e-4, 1e-2, 1.0, 2.0)),
+        ("example8", 1500, range(2), (0.0, 1e-6, 1e-4, 1e-2, 1.0, 2.0)),
+        ("example8", 3000, (0,), (1e-6, 1e-2)),
+    ])
+    def test_eta_stop_keeps_the_pivot_floor_factor(self, recipe, n, seeds, fractions):
+        """``dpstrf`` stopped at eta / (2n) keeps the bits of the factor run to
+        the pivot floor and cut at eta; so does an eta just above the roundoff
+        allowance, the smallest eta that stops early."""
+        for seed in seeds:
+            data = standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n)))
+            pair = gaussian_pair(data)
+            for k in (pair.k_a, pair.k_b):
+                size, trace = k.shape[0], float(np.trace(k))
+                allowance = 8.0 * size**2 * np.finfo(float).eps * float(np.diag(k).max())
+                for eta in (*(f * trace for f in fractions), 1.01 * allowance):
+                    assert np.array_equal(partial_gram_schmidt(k, eta),
+                                          tril_partial_gram_schmidt(k, eta)), (seed, eta / trace)
+
+    def test_eta_stop_ends_the_factorisation_early(self, monkeypatch):
+        ranks = []
+        dpstrf = scipy.linalg.lapack.dpstrf
+
+        def spy(*args, **kwargs):
+            out = dpstrf(*args, **kwargs)
+            ranks.append((kwargs["tol"], out[2]))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", spy)
+        k = example8_pair(0, 600).k_a
+        trace = float(np.trace(k))
+        partial_gram_schmidt(k, 0.0)
+        partial_gram_schmidt(k, 1e-2 * trace)
+        (floor, floor_rank), (tol, rank) = ranks
+        assert floor == 1e-12 * max(float(np.diag(k).max()), 1.0)
+        assert tol == 1e-2 * trace / (2 * 600)
+        assert rank < floor_rank
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 60), rank=st.integers(1, 60),
+           log_scale=st.floats(-3.0, 3.0), log_eta=st.floats(-14.0, 0.5))
+    def test_eta_stop_keeps_the_bits_on_random_psd_draws(self, seed, n, rank, log_scale, log_eta):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, min(rank, n))) * 10.0**log_scale
+        k = g @ g.T
+        k = np.triu(k) + np.triu(k, 1).T  # exactly symmetric
+        size, trace = n, float(np.trace(k))
+        allowance = 8.0 * size**2 * np.finfo(float).eps * float(np.diag(k).max())
+        for eta in (0.0, 1.01 * allowance, 10.0**log_eta * trace):
+            assert np.array_equal(partial_gram_schmidt(k, eta), tril_partial_gram_schmidt(k, eta))
+
     def test_upper_triangle_read_matches_the_lower_within_sym_rtol(self):
         # LAPACK reads the upper triangle of the Gram; on one that is symmetric
         # only within SYM_RTOL the factored matrix and the ridged inverse stay
@@ -978,6 +1093,10 @@ def test_kernel_fits_are_valid_or_raise(seed, n, dims, kinds, log_widths, log_ri
 
 
 class TestImageRelationTable:
+    def test_rejects_non_2d_images(self):
+        with pytest.raises(ValueError, match="images must be a 2-d array"):
+            image_relation_table(np.ones(5), {"s": np.arange(5.0)})
+
     def test_signal_equal_to_image(self):
         data = generate_synthetic(get_recipe("example7", seed=0, n=60))
         model = fit_kernel_cca(gaussian_pair(data), 1.5, 0.6, 2)

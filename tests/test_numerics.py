@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from cancorr.numerics import (
     LANCZOS_MIN_ROWS,
+    SYM_BLOCK,
+    SYM_RTOL,
     NumericalError,
     SvdResult,
     chi2_quantile,
@@ -111,6 +113,10 @@ class TestGenEigSym:
         with pytest.raises(NumericalError, match="ridge"):
             gen_eig_sym(np.eye(3), b)
 
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            gen_eig_sym(np.eye(2), np.eye(3))
+
 
 class TestSvd:
     def test_diagonal_and_rank_one(self):
@@ -131,6 +137,12 @@ class TestSvd:
         assert np.allclose(res.v.T @ res.v, np.eye(k), atol=1e-8)
         scale = max(np.abs(a).max(), 1.0)
         assert np.abs(res.u @ np.diag(res.s) @ res.v.T - a).max() <= 1e-8 * scale
+
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            svd(np.ones(shape))
 
 
 class TestTopSvd:
@@ -190,6 +202,11 @@ def planted(seed: int, rows: int, cols: int, values) -> np.ndarray:
     u, _ = np.linalg.qr(rng.standard_normal((rows, len(values))))
     v, _ = np.linalg.qr(rng.standard_normal((cols, len(values))))
     return (u * np.asarray(values, dtype=float)) @ v.T
+
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            top_svd(np.ones(3), 1)
 
 
 class TestLanczosTopSvd:
@@ -490,8 +507,8 @@ class TestChi2Quantile:
     def test_package_import_leaves_out_scipy_optimize(self):
         # scipy.optimize costs about a tenth of a second of every CLI start-up
         # that loads it; the package itself loads no scipy and no layer until
-        # a name is used, and the CLI module leaves out the kernel layer and
-        # its scipy.spatial
+        # a name is used, the CLI module leaves out the kernel layer, and no
+        # layer loads scipy.spatial
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -514,6 +531,7 @@ class TestChi2Quantile:
         assert not [m for m in package if m == "scipy" or m.startswith("scipy.")]
         assert [m for m in package if m.startswith("cancorr")] == ["cancorr"]
         assert "scipy.spatial" not in with_cli and "cancorr.kernel" not in with_cli
+        assert "scipy.spatial" not in every_layer
 
 
 class TestHelpers:
@@ -619,3 +637,48 @@ class TestHelpers:
             check_symmetric(a)
         a[550, 550] = 1e6
         check_symmetric(a)
+
+    def test_check_symmetric_finds_one_skew_at_every_tile_corner(self):
+        # tiles of SYM_BLOCK = 256 rows over n = 600: the corners of the three
+        # row and column bands, the last of them partial
+        n = 600
+        a = random_symmetric(7, n)
+        edges = sorted({0, SYM_BLOCK - 1, SYM_BLOCK, 2 * SYM_BLOCK - 1, 2 * SYM_BLOCK, n - 1})
+        for i in edges:
+            for j in edges:
+                if i != j:
+                    b = a.copy()
+                    b[i, j] += 1e-6
+                    with pytest.raises(ValueError, match="not symmetric"):
+                        check_symmetric(b)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_check_symmetric_rejects_a_non_finite_entry_anywhere(self, value):
+        n = 600
+        a = random_symmetric(8, n)
+        rng = np.random.default_rng(9)
+        places = [(0, 0), (n - 1, n - 1), (SYM_BLOCK, 3), (3, SYM_BLOCK), (n - 1, 0)]
+        places += [tuple(rng.integers(0, n, 2)) for _ in range(5)]
+        for i, j in places:
+            b = a.copy()
+            b[i, j] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                check_symmetric(b)
+            b[j, i] = value  # symmetric, but not finite
+            with pytest.raises(ValueError, match="non-finite"):
+                check_symmetric(b)
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 700), factor=st.floats(0.5, 2.0),
+           log_scale=st.floats(-3.0, 3.0))
+    def test_check_symmetric_verdict_is_the_plain_one(self, seed, n, factor, log_scale):
+        """The tiles reach the verdict of the two maxima taken over the whole matrix."""
+        rng = np.random.default_rng(seed)
+        a = random_symmetric(seed, n) * 10.0**log_scale
+        i, j = rng.integers(0, n, 2)
+        a[i, j] += factor * SYM_RTOL * max(float(np.abs(a).max()), 1.0)
+        plain = np.abs(a - a.T).max() <= SYM_RTOL * max(float(np.abs(a).max()), 1.0)
+        if plain:
+            check_symmetric(a)
+        else:
+            with pytest.raises(ValueError, match="not symmetric"):
+                check_symmetric(a)

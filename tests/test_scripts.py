@@ -1,7 +1,9 @@
-"""The reproduce script runs end to end on one seed per section."""
+"""The reproduce script runs end to end on one seed per section; the output
+comparison script finds what differs between two source trees."""
 
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,52 @@ def test_sparse_section_prints_its_budget_gap(script, capsys):
     match = re.search(r"worst \|1-norm - budget\| over the weights: (\S+)", capsys.readouterr().out)
     assert match is not None
     assert float(match[1]) <= 1e-12
+
+
+COMPARE = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+@pytest.fixture(scope="module")
+def compare_outputs():
+    spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def source_copy(tmp_path):
+    """A copy of this checkout's ``src`` tree."""
+    copy = tmp_path / "copy"
+    shutil.copytree(COMPARE.parents[1] / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+CHEAP = ["--workloads", "cli_quick", "--labels", "simulate", "--seeds", "0"]
+
+
+def test_compare_outputs_finds_no_difference_against_a_copy(compare_outputs, source_copy,
+                                                            capsys):
+    assert compare_outputs.main([str(COMPARE.parents[1]), str(source_copy), *CHEAP]) == 0
+    assert capsys.readouterr().out == "1 invocations: no difference\n"
+
+
+def test_compare_outputs_reports_a_changed_report(compare_outputs, source_copy, capsys):
+    init = source_copy / "src" / "cancorr" / "__init__.py"
+    init.write_text(re.sub(r'__version__ = "[^"]*"', '__version__ = "0.0.0-changed"',
+                           init.read_text()))
+    assert compare_outputs.main([str(COMPARE.parents[1]), str(source_copy), *CHEAP]) == 1
+    out = capsys.readouterr().out
+    assert "== .bench_out/cli_quick/simulate-s0/report.json" in out
+    assert '+  "version": "0.0.0-changed"' in out
+    assert out.endswith("1 invocations: differences found\n")
+
+
+def test_compare_outputs_plans_each_invocation_once(compare_outputs):
+    # sparse_scan at data seeds 0 and 1 shares the scans of data seeds 1 and 2
+    runs = compare_outputs.command_lines(["sparse_scan"], [0, 1], set(), [])
+    assert [name for name, _ in runs] == [f"sparse_scan/pdscca-s{s}" for s in (0, 1, 2, 3)]
+    extra = compare_outputs.command_lines([], [3], set(), ["pdscca --recipe example10 --basis 23"])
+    assert extra[0][1][-4:] == ("--seed", "3", "--out",
+                                ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")

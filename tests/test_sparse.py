@@ -470,6 +470,47 @@ class TestScanBasis:
         assert res.kkt_violation == pytest.approx(kkt_violation(x_a, k_b, 0.0, 1e6, res),
                                                   rel=1e-6)
 
+    def test_exactly_singular_free_block_stops_unconverged(self):
+        """Two primal columns 1e-9 apart whose free block is exactly singular in
+        floating point: a column whose solve is singular stops with no finite
+        step instead of aborting the fit or the scan."""
+        rng = np.random.default_rng(0)
+        v, u = rng.standard_normal(8), rng.standard_normal(8)
+        x_a = np.column_stack([v, v + 1e-9 * u])
+        k_b = center_gram(gram(rng.standard_normal((8, 2)), KernelSpec("linear")))
+        reference, stop = scalar_active_set(x_a, k_b, 0.0, 1e6, 0)
+        assert stop == "no finite step"
+        res = fit_primal_dual(x_a, k_b, 0.0, 1e6, 0)
+        assert_same_bits(res, reference)
+        assert not res.converged
+        assert_batch_matches_scalar_solve(x_a, k_b, 0.0, 1e6)
+
+    def test_singular_solve_in_a_group_stops_only_its_column(self, monkeypatch):
+        """Here stacked solves hold singular blocks beside regular ones: each
+        singular column stops with no finite step, and the others keep the
+        bits of their own solves."""
+        stacks_raised = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                if a.ndim == 3 and a.shape[0] > 1:
+                    stacks_raised.append(a.shape[0])
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        rng = np.random.default_rng(0)
+        n = int(rng.integers(5, 12))
+        v, u = rng.standard_normal(n), rng.standard_normal(n)
+        x_a = np.column_stack([v, v + 1e-9 * u, rng.standard_normal((n, int(rng.integers(0, 3))))])
+        k_b = center_gram(gram(rng.standard_normal((n, 2)), KernelSpec("linear")))
+        stops = [scalar_active_set(x_a, k_b, 0.0, 1.0, j)[1] for j in range(n)]
+        assert {"no finite step", "no descent"} <= set(stops)
+        assert_batch_matches_scalar_solve(x_a, k_b, 0.0, 1.0)
+        assert stacks_raised
+
     def test_step_cap_is_flagged(self, monkeypatch):
         data, k_b, penalty = noise_fixture()
         monkeypatch.setattr(sparse_module, "PD_MAX_STEPS", 3)
@@ -587,17 +628,22 @@ def scalar_active_set(x_a, k_b, mu, gamma, basis_index):
             stop = "kkt"
             break
         idx = np.array(free, dtype=int)
-        if free and viol[idx].max() > tol:
-            enter, sub = None, gram_[idx[:, None], idx]
-            step = np.linalg.solve(sub, -0.5 * (grad[idx] + lam[idx] * sign[idx]))
-        else:
-            if at_box[enter]:
-                at_box[enter], direction = False, -sign[enter]
+        try:
+            if free and viol[idx].max() > tol:
+                enter, sub = None, gram_[idx[:, None], idx]
+                step = np.linalg.solve(sub, -0.5 * (grad[idx] + lam[idx] * sign[idx]))
             else:
-                direction = sign[enter] = -np.sign(grad[enter])
-            idx = np.append(idx, enter)
-            sub = gram_[idx[:, None], idx]
-            step = np.append(-direction * np.linalg.solve(sub[:-1, :-1], sub[:-1, -1]), direction)
+                if at_box[enter]:
+                    at_box[enter], direction = False, -sign[enter]
+                else:
+                    direction = sign[enter] = -np.sign(grad[enter])
+                idx = np.append(idx, enter)
+                sub = gram_[idx[:, None], idx]
+                step = np.append(-direction * np.linalg.solve(sub[:-1, :-1], sub[:-1, -1]),
+                                 direction)
+        except np.linalg.LinAlgError:  # an exactly singular free block
+            stop = "no finite step"
+            break
         slope = float((grad[idx] + lam[idx] * sign[idx]) @ step)
         curvature = float(step @ sub @ step)
         if not slope < 0.0:
