@@ -10,12 +10,11 @@ BLAS thread.  The script prints each difference in exit code, stdout, stderr
 any, 0 if there is none.
 
 Usage:
-    python scripts/compare_outputs.py OLD NEW [--seeds 0-15] [--workloads cli_quick ...]
-        [--labels simulate ...] [--extra "pdscca --recipe example10 --basis 23" ...]
+    python scripts/compare_outputs.py OLD NEW [--seeds 0-15]
+        [--extra "pdscca --recipe example10 --basis 23" ...]
 
 ``--extra`` adds a command line, run at every chosen seed with ``--seed`` and
-``--out`` appended.  ``--labels`` keeps only the invocations of those labels
-(an extra command's label is its first word).
+``--out`` appended.
 """
 
 from __future__ import annotations
@@ -48,18 +47,15 @@ def parse_seeds(text: str) -> list[int]:
     return sorted(seeds)
 
 
-def command_lines(workloads, seeds, labels, extras) -> list[tuple[str, tuple[str, ...]]]:
+def command_lines(seeds, extras) -> list[tuple[str, tuple[str, ...]]]:
     """(name, argv) of every invocation to run, in run order and without repeats."""
     runs = {}
-    for workload in workloads:
+    for workload in sorted(WORKLOADS):
         for seed in seeds:
             for inv in invocations(workload, seed):
-                if not labels or inv.label in labels:
-                    runs.setdefault(inv.argv, f"{workload}/{inv.name}")
+                runs.setdefault(inv.argv, f"{workload}/{inv.name}")
     for extra in extras:
         words = tuple(shlex.split(extra))
-        if labels and words[0] not in labels:
-            continue
         for seed in seeds:
             name = f"extra/{'_'.join(words)}-s{seed}"
             out = os.path.join(".compare_out", name)
@@ -131,14 +127,10 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="source tree compared with it")
     parser.add_argument("--seeds", type=parse_seeds, default=[0],
                         help=f"data seeds, e.g. 0-15 or 0,3 (default 0; at most {DATA_SEEDS - 1})")
-    parser.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
-                        default=sorted(WORKLOADS))
-    parser.add_argument("--labels", nargs="+", default=(),
-                        help="run only the invocations with these labels")
     parser.add_argument("--extra", action="append", default=[],
                         help="a further command line, run at every seed")
     args = parser.parse_args(argv)
-    runs = command_lines(args.workloads, args.seeds, set(args.labels), args.extra)
+    runs = command_lines(args.seeds, args.extra)
     report = compare(args.old.resolve(), args.new.resolve(), runs)
     for line in report:
         print(line)

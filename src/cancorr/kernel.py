@@ -53,19 +53,21 @@ def _squared_distances(xt: np.ndarray, rows: slice, cols: slice, out: np.ndarray
     which scipy's ``cdist`` and ``pdist`` (``"sqeuclidean"``) sum, so every
     entry has their bits.  Entries (i, j) and (j, i) add the same squares in
     the same order, and (i, i) is 0.  One temporary of ``out``'s size holds
-    a feature's differences.
+    a feature's differences.  A square that overflows is inf without a
+    warning, as in scipy.
     """
     if not xt.shape[0]:
         out.fill(0.0)
         return out
-    np.subtract(xt[0, rows, None], xt[0, None, cols], out=out)
-    np.multiply(out, out, out=out)
-    if xt.shape[0] > 1:
-        diff = np.empty_like(out)
-        for col in xt[1:]:
-            np.subtract(col[rows, None], col[None, cols], out=diff)
-            np.multiply(diff, diff, out=diff)
-            out += diff
+    with np.errstate(over="ignore"):
+        np.subtract(xt[0, rows, None], xt[0, None, cols], out=out)
+        np.multiply(out, out, out=out)
+        if xt.shape[0] > 1:
+            diff = np.empty_like(out)
+            for col in xt[1:]:
+                np.subtract(col[rows, None], col[None, cols], out=diff)
+                np.multiply(diff, diff, out=diff)
+                out += diff
     return out
 
 

@@ -487,12 +487,11 @@ class TestSquaredDistances:
         x = rng.standard_normal((n, p)) * 10.0**log_scale
         if duplicates:
             x[n // 2:] = x[: n - n // 2]
-        with np.errstate(over="ignore", under="ignore"):
-            saved, kernel_module.DIST_BLOCK = kernel_module.DIST_BLOCK, block
-            try:
-                self.assert_scipy_bits(x)
-            finally:
-                kernel_module.DIST_BLOCK = saved
+        saved, kernel_module.DIST_BLOCK = kernel_module.DIST_BLOCK, block
+        try:
+            self.assert_scipy_bits(x)
+        finally:
+            kernel_module.DIST_BLOCK = saved
 
     def test_two_rows_and_one_feature(self):
         x = np.array([[0.5], [-2.0]])
@@ -501,6 +500,13 @@ class TestSquaredDistances:
 
     def test_no_features(self):
         self.assert_scipy_bits(np.zeros((4, 0)))
+
+    def test_overflow_is_silent(self):
+        """Squares past the float range are inf, with no warning, as in scipy."""
+        x = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]])
+        assert np.array_equal(gram(x, KernelSpec("gaussian", 1.0)),
+                              np.exp(-cdist(x, x, "sqeuclidean") / 2.0))
+        assert median_heuristic(x) == np.median(pdist(x))
 
 
 class TestGramPair:

@@ -183,6 +183,10 @@ class TestTopSvd:
         with pytest.raises(ValueError, match="r must satisfy"):
             top_svd(np.ones((3, 2)), 3)
 
+    def test_rejects_non_2d(self):
+        with pytest.raises(ValueError, match="expected a 2-d array"):
+            top_svd(np.ones(3), 1)
+
 
 def dense_top_svd(m: np.ndarray, r: int) -> SvdResult:
     """Reference ``top_svd``: the top-``r`` eigenvectors of ``m @ m.T`` from a
@@ -202,11 +206,6 @@ def planted(seed: int, rows: int, cols: int, values) -> np.ndarray:
     u, _ = np.linalg.qr(rng.standard_normal((rows, len(values))))
     v, _ = np.linalg.qr(rng.standard_normal((cols, len(values))))
     return (u * np.asarray(values, dtype=float)) @ v.T
-
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="expected a 2-d array"):
-            top_svd(np.ones(3), 1)
 
 
 class TestLanczosTopSvd:

@@ -75,30 +75,34 @@ def source_copy(tmp_path):
     return copy
 
 
-CHEAP = ["--workloads", "cli_quick", "--labels", "simulate", "--seeds", "0"]
+@pytest.fixture(scope="module")
+def cheap_runs(compare_outputs):
+    """cli_quick's ``simulate`` at data seed 0, the cheapest benchmark invocation."""
+    return [(f"cli_quick/{inv.name}", inv.argv)
+            for inv in compare_outputs.invocations("cli_quick", 0) if inv.label == "simulate"]
 
 
 def test_compare_outputs_finds_no_difference_against_a_copy(compare_outputs, source_copy,
-                                                            capsys):
-    assert compare_outputs.main([str(COMPARE.parents[1]), str(source_copy), *CHEAP]) == 0
-    assert capsys.readouterr().out == "1 invocations: no difference\n"
+                                                            cheap_runs):
+    assert len(cheap_runs) == 1
+    assert compare_outputs.compare(COMPARE.parents[1], source_copy, cheap_runs) == []
 
 
-def test_compare_outputs_reports_a_changed_report(compare_outputs, source_copy, capsys):
+def test_compare_outputs_reports_a_changed_report(compare_outputs, source_copy, cheap_runs):
     init = source_copy / "src" / "cancorr" / "__init__.py"
     init.write_text(re.sub(r'__version__ = "[^"]*"', '__version__ = "0.0.0-changed"',
                            init.read_text()))
-    assert compare_outputs.main([str(COMPARE.parents[1]), str(source_copy), *CHEAP]) == 1
-    out = capsys.readouterr().out
-    assert "== .bench_out/cli_quick/simulate-s0/report.json" in out
-    assert '+  "version": "0.0.0-changed"' in out
-    assert out.endswith("1 invocations: differences found\n")
+    report = compare_outputs.compare(COMPARE.parents[1], source_copy, cheap_runs)
+    assert "== .bench_out/cli_quick/simulate-s0/report.json" in report
+    assert '+  "version": "0.0.0-changed"' in report
 
 
 def test_compare_outputs_plans_each_invocation_once(compare_outputs):
     # sparse_scan at data seeds 0 and 1 shares the scans of data seeds 1 and 2
-    runs = compare_outputs.command_lines(["sparse_scan"], [0, 1], set(), [])
-    assert [name for name, _ in runs] == [f"sparse_scan/pdscca-s{s}" for s in (0, 1, 2, 3)]
-    extra = compare_outputs.command_lines([], [3], set(), ["pdscca --recipe example10 --basis 23"])
-    assert extra[0][1][-4:] == ("--seed", "3", "--out",
-                                ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")
+    names = [name for name, _ in compare_outputs.command_lines([0, 1], [])]
+    assert len(names) == len(set(names))
+    assert [name for name in names if name.startswith("sparse_scan/")] == [
+        f"sparse_scan/pdscca-s{s}" for s in (0, 1, 2, 3)]
+    extra = compare_outputs.command_lines([3], ["pdscca --recipe example10 --basis 23"])
+    assert extra[-1][1][-4:] == ("--seed", "3", "--out",
+                                 ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")
