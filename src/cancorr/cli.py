@@ -245,13 +245,12 @@ def _config_echo(args) -> dict:
     return config
 
 
-def _kernel_spec(kind: str, sigma: str, view: np.ndarray, label: str) -> KernelSpec:
-    from .kernel import KernelSpec, median_heuristic
+def _kernel_spec(kind: str, sigma: str, label: str) -> KernelSpec:
+    """One view's kernel flags; the Gram build resolves a ``median`` width."""
+    from .kernel import KernelSpec
 
-    if kind == "linear":
-        return KernelSpec("linear")
-    if sigma == "median":
-        return KernelSpec("gaussian", width=median_heuristic(view))
+    if kind == "linear" or sigma == "median":
+        return KernelSpec(kind)
     try:
         width = float(sigma)
     except ValueError:
@@ -333,17 +332,19 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
         image_relation_table,
     )
 
+    spec_a = _kernel_spec(args.kernel_a, args.sigma_a, "a")
+    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, "b")
     data_std, recipe, _ = _prepare(args, seed)
-    # reject the fit's arguments before the widths and Grams are computed
+    # reject the fit's arguments before the Grams are built
     if args.pgso:
         _check_pgso(args.kappa, args.eta, args.components)
         fit = partial(fit_kernel_cca_pgso, kappa=args.kappa, eta=args.eta, r=args.components)
     else:
         _check_direct(data_std.n, args.c1, args.c2, args.components)
         fit = partial(fit_kernel_cca, c1=args.c1, c2=args.c2, r=args.components)
-    spec_a = _kernel_spec(args.kernel_a, args.sigma_a, data_std.view_a, "a")
-    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
-    model = fit(build_gram_pair(data_std, spec_a, spec_b))
+    grams = build_gram_pair(data_std, spec_a, spec_b)
+    spec_a, spec_b = grams.spec_a, grams.spec_b
+    model = fit(grams)
     report = {
         "solver": model.solver,
         "kernel_width_a": spec_a.width,
@@ -394,12 +395,13 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
-    from .kernel import center_gram, gram
+    from .kernel import _gram, center_gram
     from .sparse import fit_primal_dual, scan_basis
 
+    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, "b")
     data_std, _, _ = _prepare(args, seed)
-    spec_b = _kernel_spec(args.kernel_b, args.sigma_b, data_std.view_b, "b")
-    k_b = center_gram(gram(data_std.view_b, spec_b))
+    k_b, spec_b = _gram(data_std.view_b, spec_b)
+    k_b = center_gram(k_b)
     x_a = data_std.view_a
     default_pen = 0.1 * float(np.abs(x_a.T @ k_b).max())
     mu = default_pen if args.mu is None else args.mu

@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    COND_LIMIT, SYM_BLOCK, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
+    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
     pearson_columns, ranked_pairs, require_components, residual_diagonal, top_svd,
     well_conditioned,
 )
@@ -24,14 +24,15 @@ from .numerics import (
 # (``top_svd``), that is only sensible at desk scale, and larger problems go
 # through the reduced route.
 DIRECT_N_LIMIT = 2000
-# Entries per row block of the distance loop, which bounds its temporaries
-# (0.5 MB each).
+# Entries per row block of the distance loop and of the centering, which
+# bounds their temporaries (0.5 MB each).
 DIST_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and parameters for one view."""
+    """Kernel family and parameters for one view; a gaussian spec without a
+    width takes the median heuristic's (``median_heuristic``) when its Gram is built."""
 
     kind: str
     width: float | None = None
@@ -39,9 +40,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "gaussian"):
             raise ValueError(f"unknown kernel kind '{self.kind}'; expected linear or gaussian")
-        if self.kind == "gaussian":
-            w = self.width
-            if w is None or not (np.isfinite(w) and w > 0 and 2.0 * w**2 > 0):
+        w = self.width
+        if self.kind == "gaussian" and w is not None:
+            if not (np.isfinite(w) and w > 0 and 2.0 * w**2 > 0):
                 raise ValueError(f"gaussian kernel needs a positive finite width (2 width^2 > 0), got {w}")
 
 
@@ -77,45 +78,35 @@ def _row_blocks(n: int):
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-def _pair_distances(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances of the pairs i < j of rows of ``x``.
-
-    Row block by row block, ``_squared_distances`` gives the pairs inside the
-    block's diagonal square, then the block's rows against every later row,
-    written straight into place.  The values have the bits of scipy's
-    ``pdist(x, "sqeuclidean")``, in another order.
-    """
+def _distance_square(x: np.ndarray) -> np.ndarray:
+    """The squared distances of the rows of ``x`` by row blocks: ``cdist(x, x,
+    "sqeuclidean")``'s bits, whose strict upper triangle by rows is ``pdist``'s."""
     n = x.shape[0]
     xt = np.ascontiguousarray(x.T)
-    d = np.empty(n * (n - 1) // 2)
-    filled = 0
+    square = np.empty((n, n))
     for block in _row_blocks(n):
-        m, rest = block.stop - block.start, n - block.stop
-        square = _squared_distances(xt, block, block, np.empty((m, m)))
-        d[filled:filled + m * (m - 1) // 2] = square[np.triu_indices(m, 1)]
-        filled += m * (m - 1) // 2
-        _squared_distances(xt, block, slice(block.stop, n),
-                           d[filled:filled + m * rest].reshape(m, rest))
-        filled += m * rest
-    return d
+        _squared_distances(xt, block, slice(0, n), square[block])
+    return square
 
 
-def median_heuristic(x) -> float:
-    """Median pairwise Euclidean distance between observations (rows of ``x``).
-
-    With an even number of pairs the mean of the two central order statistics
-    is returned, which is plain ``numpy.median`` behaviour.  The selection runs
-    in place on the squared distances (``_pair_distances``, whose order it
-    ignores), and only the one or two central values are square-rooted;
-    ``pdist``'s Euclidean distance is the square root of its squared one, so
-    the result equals ``np.median(pdist(x))`` bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
+def _check_median_rows(x: np.ndarray) -> None:
+    """Refuse what has no median pairwise distance: under two rows, or a non-finite entry."""
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("median heuristic needs a 2-d array with at least two rows")
     if not np.isfinite(x).all():
         raise ValueError("median heuristic needs finite observations")
-    d = _pair_distances(x)
+
+
+def _median_width(square: np.ndarray) -> float:
+    """Median distance of the pairs in the strict upper triangle of ``_distance_square``.
+
+    With an even number of pairs the mean of the two central order statistics
+    is returned, as ``numpy.median`` does.  The selection runs in place on a
+    copy of the triangle, and only the central values are square-rooted;
+    ``pdist``'s distance is the root of its squared one, so the result equals
+    ``np.median(pdist(x))`` bit for bit.
+    """
+    d = np.concatenate([square[i, i + 1:] for i in range(square.shape[0] - 1)])
     half = d.size // 2
     d.partition(half)
     upper = np.sqrt(d[half])
@@ -125,31 +116,45 @@ def median_heuristic(x) -> float:
     return med
 
 
-def gram(x, spec: KernelSpec) -> np.ndarray:
-    """Gram matrix of the rows of ``x`` under ``spec``.
+def median_heuristic(x) -> float:
+    """Median pairwise Euclidean distance between observations (rows of ``x``),
+    taken from the square a gaussian Gram starts from (``_median_width``)."""
+    x = np.asarray(x, dtype=float)
+    _check_median_rows(x)
+    return _median_width(_distance_square(x))
 
-    The gaussian kernel ``exp(-||xi - xj||^2 / (2 width^2))`` is taken in place,
-    block by block, on the squared distances of ``_squared_distances``, which
-    have the bits of scipy's ``cdist(x, x, "sqeuclidean")``: entry (i, j)
-    equals (j, i) and (i, i) is 0, so the Gram is exactly symmetric and
-    ``exp(-0.0) = 1`` fills the diagonal.  Besides the output only one
-    block-sized temporary is allocated.
-    """
+
+def _gram(x, spec: KernelSpec) -> tuple[np.ndarray, KernelSpec]:
+    """The Gram matrix of ``gram`` and the spec it used, whose width is the
+    median heuristic's when ``spec`` is gaussian without one."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if spec.kind == "linear":
-        return x @ x.T
-    n = x.shape[0]
-    xt = np.ascontiguousarray(x.T)
-    k = np.empty((n, n))
-    scale = 2.0 * spec.width**2
-    for block in _row_blocks(n):
-        out = _squared_distances(xt, block, slice(0, n), k[block])
-        np.negative(out, out=out)
-        out /= scale
-        np.exp(out, out=out)
-    return k
+        return x @ x.T, spec
+    if spec.width is None:
+        _check_median_rows(x)
+    k = _distance_square(x)
+    if spec.width is None:
+        spec = KernelSpec("gaussian", _median_width(k))
+    np.negative(k, out=k)
+    k /= 2.0 * spec.width**2
+    np.exp(k, out=k)
+    return k, spec
+
+
+def gram(x, spec: KernelSpec) -> np.ndarray:
+    """Gram matrix of the rows of ``x`` under ``spec``.
+
+    The gaussian kernel ``exp(-||xi - xj||^2 / (2 width^2))`` is taken in place
+    on ``_distance_square``, which has ``cdist``'s bits: entry (i, j) equals
+    (j, i) and (i, i) is 0, so the Gram is exactly symmetric with a unit
+    diagonal.  Without a width, the median of the same square
+    (``median_heuristic``'s bits) is taken first, so no distance is computed
+    twice.  Besides the output only a block-sized temporary is allocated, and
+    for the median a copy of the triangle.
+    """
+    return _gram(x, spec)[0]
 
 
 def center_gram(k) -> np.ndarray:
@@ -169,14 +174,13 @@ def _center_in_place(k: np.ndarray) -> np.ndarray:
 
     ``m`` holds the row means and ``grand`` their mean.  The sum ``m_i + m_j``
     is formed before it is subtracted, so an exactly symmetric input stays
-    exactly symmetric.  Rows are updated in blocks of about ``SYM_BLOCK**2``
-    entries, which bounds the temporaries.
+    exactly symmetric.  Rows are updated in the distance loop's row blocks
+    (``_row_blocks``), which bounds the temporaries.
     """
     means = k.mean(axis=1)
     grand = means.mean()
-    step = max(1, SYM_BLOCK**2 // max(means.size, 1))
-    for start in range(0, means.size, step):
-        k[start:start + step] -= means[start:start + step, None] + means
+    for block in _row_blocks(means.size):
+        k[block] -= means[block, None] + means
     k += grand
     return k
 
@@ -207,13 +211,11 @@ class GramPair:
 def build_gram_pair(
     data: PairedDataset, spec_a: KernelSpec, spec_b: KernelSpec
 ) -> GramPair:
-    """Build and center both views' Gram matrices; ``GramPair`` checks them."""
-    return GramPair(
-        k_a=_center_in_place(gram(data.view_a, spec_a)),
-        k_b=_center_in_place(gram(data.view_b, spec_b)),
-        spec_a=spec_a,
-        spec_b=spec_b,
-    )
+    """Build and center both views' Gram matrices; ``GramPair`` checks them
+    and holds the specs with the widths used, median widths resolved."""
+    k_a, spec_a = _gram(data.view_a, spec_a)
+    k_b, spec_b = _gram(data.view_b, spec_b)
+    return GramPair(_center_in_place(k_a), _center_in_place(k_b), spec_a, spec_b)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,22 @@ def snapshot(out_dir) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+@pytest.fixture
+def distance_entries(monkeypatch) -> list[int]:
+    """The sizes of the blocks the kernel distance loop writes, call by call."""
+    import cancorr.kernel
+
+    loop = cancorr.kernel._squared_distances
+    written = []
+
+    def counted(xt, rows, cols, out):
+        written.append(out.size)
+        return loop(xt, rows, cols, out)
+
+    monkeypatch.setattr(cancorr.kernel, "_squared_distances", counted)
+    return written
+
+
 class TestGridGrammar:
     def test_log_grid_points(self):
         grid = _parse_grid("log:1e-3:1e3:15")
@@ -84,6 +100,17 @@ class TestGridGrammar:
     def test_rejected_grids(self, text, match):
         with pytest.raises(ValueError, match=match):
             _parse_grid(text)
+
+
+class TestJsonDefault:
+    def test_numpy_scalars_become_python_values(self):
+        for value, expected in ((np.float64(0.25), 0.25), (np.int64(3), 3), (np.bool_(True), True)):
+            converted = cli._json_default(value)
+            assert converted == expected and type(converted) is type(expected)
+
+    def test_unknown_type_refused(self):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli._json_default(object())
 
 
 def unreachable_solver(*args, **kwargs):
@@ -361,13 +388,13 @@ class TestSimulateCommand:
 class TestKccaCommand:
     @pytest.fixture
     def no_kernel_work(self, monkeypatch):
-        """Make computing a kernel width or a Gram pair fail the test."""
+        """Make building a Gram, and so resolving a median width, fail the test."""
         import cancorr.kernel
 
         def unreachable(*args, **kwargs):
             raise AssertionError("kernel widths or Grams computed for a fit that cannot run")
 
-        monkeypatch.setattr(cancorr.kernel, "median_heuristic", unreachable)
+        monkeypatch.setattr(cancorr.kernel, "_gram", unreachable)
         monkeypatch.setattr(cancorr.kernel, "build_gram_pair", unreachable)
 
     def test_median_width_gaussian_fit(self, tmp_path):
@@ -470,6 +497,18 @@ class TestKccaCommand:
         assert "correlations" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, gaussian_views", [
+        ((), 2),
+        (("--kernel-a", "linear"), 1),
+        (("--sigma-a", "2.0", "--pgso"), 2),
+    ], ids=["median", "linear-a", "explicit-a-pgso"])
+    def test_each_gaussian_view_distances_computed_once(self, tmp_path, distance_entries,
+                                                        argv, gaussian_views):
+        assert run("kcca", "--recipe", "example7", "--seed", "0", *argv,
+                   "--out", tmp_path) == 0
+        n = generate_synthetic(get_recipe("example7", seed=0)).n
+        assert sum(distance_entries) == gaussian_views * n * n
+
     def test_bad_sigma_rejected(self, tmp_path):
         rc = run("kcca", "--recipe", "example7", "--sigma-a", "wide", "--out", tmp_path)
         assert rc == 2
@@ -503,6 +542,16 @@ class TestPmdCommand:
 
 
 class TestPdsccaCommand:
+    @pytest.mark.parametrize("argv, gaussian_views", [
+        ((), 1), (("--sigma-b", "3.0"), 1), (("--kernel-b", "linear"), 0),
+    ], ids=["median", "explicit", "linear"])
+    def test_view_b_distances_computed_once(self, tmp_path, distance_entries, argv,
+                                            gaussian_views):
+        assert run("pdscca", "--recipe", "example10", "--seed", "0", "--basis", "0", *argv,
+                   "--out", tmp_path) == 0
+        n = generate_synthetic(get_recipe("example10", seed=0)).n
+        assert sum(distance_entries) == gaussian_views * n * n
+
     def test_scan_and_pinned_basis_agree(self, tmp_path):
         out_scan = tmp_path / "scan"
         rc = run("pdscca", "--recipe", "example10", "--seed", "0", "--threads", "4",
@@ -649,8 +698,10 @@ class TestErrorExits:
         (("pmd", "--budget-a=nan"), "--budget-a must be finite"),
         (("pdscca", "--mu=inf"), "--mu must be finite"),
         (("kcca", "--c1=nan"), "--c1 must be finite"),
+        (("kcca", "--sigma-a", "wide"), "--sigma-a must be 'median' or a number"),
+        (("pdscca", "--sigma-b", "-1"), "gaussian kernel needs a positive finite width"),
     ], ids=["biplot-pair", "biplot-zero", "cv-grid", "cv-folds", "fit-split", "fit-alpha",
-            "test-alpha", "pmd-budget", "pdscca-mu", "kcca-c1"])
+            "test-alpha", "pmd-budget", "pdscca-mu", "kcca-c1", "kcca-sigma", "pdscca-sigma"])
     def test_data_free_flags_refused_before_loading(self, tmp_path, monkeypatch, capsys,
                                                     argv, message):
         def unreachable(*args, **kwargs):
@@ -744,6 +795,15 @@ class TestErrorExits:
         assert run("simulate", "--recipe", "example1", "--seed", "0", "--out", tmp_path) == 2
         assert "JSON" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_path_taken_by_a_directory(self, tmp_path, capsys):
+        # the report cannot replace a directory, and removing the path in
+        # cleanup fails too; the side files go and the directory stays
+        (tmp_path / "report.json").mkdir()
+        assert run("fit", "--recipe", "example1", "--seed", "0", "--out", tmp_path) == 2
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert (tmp_path / "report.json").is_dir()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

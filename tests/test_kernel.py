@@ -41,6 +41,11 @@ from tests.conftest import one_dominant, traced_peak, weak_second_relation
 from tests.test_numerics import dense_top_svd, scalar_partial_gram_schmidt
 
 
+# Every recipe at desk scale (example8 cut to 1500 rows), for the distance gates.
+EVERY_RECIPE = [("example1", None), ("example6", None), ("example7", None),
+                ("example8", 1500), ("example9", None), ("example10", None)]
+
+
 def gaussian_pair(data: PairedDataset) -> GramPair:
     return build_gram_pair(
         data,
@@ -269,10 +274,23 @@ class TestKernelSpec:
     def test_rejects_unknown_kind_and_bad_width(self):
         with pytest.raises(ValueError, match="unknown kernel kind"):
             KernelSpec("polynomial", 2.0)
-        for width in (None, 0.0, -1.0, np.inf):
+        for width in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive finite width"):
                 KernelSpec("gaussian", width)
         KernelSpec("linear")  # no width needed
+
+    def test_none_resolves_to_the_median_width(self):
+        x = standardize(generate_synthetic(get_recipe("example7", seed=0))).view_a
+        k, spec = kernel_module._gram(x, KernelSpec("gaussian"))
+        assert spec == KernelSpec("gaussian", median_heuristic(x))
+        assert np.array_equal(k, gram(x, spec))
+        assert np.array_equal(gram(x, KernelSpec("gaussian")), k)
+        # the median heuristic's refusals, raised before any Gram is built
+        for bad, message in ((np.ones((1, 2)), "at least two rows"),
+                             (np.array([[0.0], [np.nan], [1.0]]), "finite observations"),
+                             (np.ones((4, 2)), "identical")):
+            with pytest.raises(ValueError, match=message):
+                gram(bad, KernelSpec("gaussian"))
 
     def test_rejects_a_width_whose_square_underflows(self):
         # 2 width^2 would be 0, and the gram's diagonal 0 / 0
@@ -441,26 +459,17 @@ class TestMedianHeuristic:
 
 class TestSquaredDistances:
     """The numpy distance loop against scipy's ``cdist`` and ``pdist``: the
-    square bit for bit, the pairs i < j bit for bit as a multiset."""
+    square bit for bit, and its pairs i < j as ``pdist``'s values in order."""
 
     @staticmethod
-    def loop_square(x: np.ndarray) -> np.ndarray:
-        """The square through ``_squared_distances`` by row blocks, as ``gram`` runs it."""
-        n = x.shape[0]
-        xt = np.ascontiguousarray(x.T)
-        k = np.empty((n, n))
-        for block in kernel_module._row_blocks(n):
-            kernel_module._squared_distances(xt, block, slice(0, n), k[block])
-        return k
+    def assert_scipy_bits(x: np.ndarray) -> None:
+        square = kernel_module._distance_square(x)
+        assert np.array_equal(square, cdist(x, x, "sqeuclidean"))
+        # the strict upper triangle, read row by row, is pdist's condensed vector
+        upper = square[np.triu_indices(x.shape[0], 1)]
+        assert np.array_equal(upper, pdist(x, "sqeuclidean"))
 
-    def assert_scipy_bits(self, x: np.ndarray) -> None:
-        assert np.array_equal(self.loop_square(x), cdist(x, x, "sqeuclidean"))
-        pairs = kernel_module._pair_distances(x)
-        assert np.array_equal(np.sort(pairs), np.sort(pdist(x, "sqeuclidean")))
-
-    @pytest.mark.parametrize("recipe, n", [("example1", None), ("example6", None),
-                                           ("example7", None), ("example8", 1500),
-                                           ("example9", None), ("example10", None)])
+    @pytest.mark.parametrize("recipe, n", EVERY_RECIPE)
     def test_recipes_at_sixteen_data_seeds(self, recipe, n):
         for seed in range(16):
             data = standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n)))
@@ -495,8 +504,8 @@ class TestSquaredDistances:
 
     def test_two_rows_and_one_feature(self):
         x = np.array([[0.5], [-2.0]])
-        assert np.array_equal(self.loop_square(x), [[0.0, 6.25], [6.25, 0.0]])
-        assert np.array_equal(kernel_module._pair_distances(x), [6.25])
+        assert np.array_equal(kernel_module._distance_square(x), [[0.0, 6.25], [6.25, 0.0]])
+        assert median_heuristic(x) == 2.5
 
     def test_no_features(self):
         self.assert_scipy_bits(np.zeros((4, 0)))
@@ -537,6 +546,19 @@ class TestGramPair:
         for k in (pair.k_a, pair.k_b):
             assert np.abs(k.sum(axis=0)).max() <= 1e-8
         assert pair.n == 40
+
+    @pytest.mark.parametrize("recipe, n", EVERY_RECIPE)
+    def test_resolved_widths_are_the_median_heuristic(self, recipe, n):
+        """Widths taken from the Gram's own square keep ``median_heuristic``'s bits."""
+        median = KernelSpec("gaussian")
+        for seed in range(16):
+            data = standardize(generate_synthetic(get_recipe(recipe, seed=seed, n=n)))
+            pair = build_gram_pair(data, median, median)
+            for x, spec in ((data.view_a, pair.spec_a), (data.view_b, pair.spec_b)):
+                assert spec.width == median_heuristic(x) == np.median(pdist(x))
+            explicit = build_gram_pair(data, pair.spec_a, pair.spec_b)
+            assert np.array_equal(pair.k_a, explicit.k_a)
+            assert np.array_equal(pair.k_b, explicit.k_b)
 
 
 class TestFitKernelCca:
