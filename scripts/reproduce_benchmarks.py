@@ -34,7 +34,6 @@ from cancorr import (
     get_recipe,
     gram,
     image_relation_table,
-    median_heuristic,
     project,
     relation_signals,
     scan_basis,
@@ -149,11 +148,10 @@ def run_kernel(seeds: int) -> None:
         for s in range(seeds):
             recipe = get_recipe("example7", seed=s)
             data = standardize(generate_synthetic(recipe))
-            w_a, w_b = median_heuristic(data.view_a), median_heuristic(data.view_b)
-            widths_a.append(w_a)
-            widths_b.append(w_b)
-            pair = build_gram_pair(data, KernelSpec("gaussian", w_a),
-                                   KernelSpec("gaussian", w_b))
+            # no width: each Gram build takes its median-heuristic width
+            pair = build_gram_pair(data, KernelSpec("gaussian"), KernelSpec("gaussian"))
+            widths_a.append(pair.spec_a.width)
+            widths_b.append(pair.spec_b.width)
             model = fit_kernel_cca(pair, 1.5, 0.6, 3)
             corrs.append(model.correlations)
             signals = relation_signals(recipe, data)
@@ -170,11 +168,7 @@ def run_reduced_kernel(seeds: int) -> None:
         for s in range(seeds):
             recipe = get_recipe("example8", seed=s, n=2000)
             data = standardize(generate_synthetic(recipe))
-            pair = build_gram_pair(
-                data,
-                KernelSpec("gaussian", median_heuristic(data.view_a)),
-                KernelSpec("gaussian", median_heuristic(data.view_b)),
-            )
+            pair = build_gram_pair(data, KernelSpec("gaussian"), KernelSpec("gaussian"))
             model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
             signals = relation_signals(recipe, data)
             aligned = one_dominant(image_relation_table(model.z_a + model.z_b, signals).absolute)
@@ -212,7 +206,7 @@ def run_sparse(seeds: int) -> None:
 def run_primal_dual() -> None:
     with Section("primal-dual sparse fit on the unstructured recipe (example10)"):
         data = generate_synthetic(get_recipe("example10", seed=0))
-        k_b = center_gram(gram(data.view_b, KernelSpec("gaussian", median_heuristic(data.view_b))))
+        k_b = center_gram(gram(data.view_b, KernelSpec("gaussian")))
         penalty = 0.45 * float(np.abs(data.view_a.T @ k_b).max())
         best = scan_basis(data.view_a, k_b, penalty, penalty)
         nnz = int(np.count_nonzero(best.w_a))

@@ -126,8 +126,7 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
         raise ValueError(f"ranks must satisfy 1 <= r <= min(p, q) = {min(p, q)}, got {r}")
     resid = c_ab.copy()
     base_scale = max(float(np.abs(c_ab).max()), 1.0)
-    w_a_cols, w_b_cols, sigmas = [], [], []
-    iterations, converged, histories = [], [], []
+    ranks = []
     for _ in range(r):
         if float(np.abs(resid).max()) <= 1e-12 * base_scale:
             # residual exhausted: no structure left for further ranks
@@ -152,23 +151,19 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
                 break
         sigma = float(w_a @ resid @ w_b)
         resid = resid - sigma * np.outer(w_a, w_b)
-        w_a_cols.append(w_a)
-        w_b_cols.append(w_b)
-        sigmas.append(sigma)
-        iterations.append(iters)
-        converged.append(done)
-        histories.append(np.asarray(history))
-    if not w_a_cols:
+        ranks.append((w_a, w_b, sigma, iters, done, np.asarray(history)))
+    if not ranks:
         raise NumericalError("cross-covariance is numerically zero; nothing to decompose")
+    w_a_cols, w_b_cols, sigmas, iterations, converged, histories = zip(*ranks)
     return PmdResult(
         w_a=np.column_stack(w_a_cols),
         w_b=np.column_stack(w_b_cols),
         sigmas=np.asarray(sigmas),
         budget_a=float(budget_a),
         budget_b=float(budget_b),
-        iterations=tuple(iterations),
-        converged=tuple(converged),
-        objective_histories=tuple(histories),
+        iterations=iterations,
+        converged=converged,
+        objective_histories=histories,
     )
 
 
@@ -278,7 +273,7 @@ def _fit_batch(x_a, k_b, design, gram, penalty, columns):
     cross = cross.max(axis=1)
     tol = tols = PD_KKT_RTOL * np.where(cross > 1.0, cross, 1.0)
     out_z, out_viol = np.empty_like(z), np.empty(ids.size)
-    out_steps = np.empty(ids.size, dtype=int)
+    logs = [[] for _ in ids]  # each column's objective, one entry per round
     base = ids * dim  # flat offset of each live row
 
     def evaluate():
@@ -292,20 +287,20 @@ def _fit_batch(x_a, k_b, design, gram, penalty, columns):
         size.put(at_pin, 0.0)  # the pinned entry carries no penalty
         objective = ((fit[:, None, :] @ fit[:, :, None])
                      + (size[:, None, :] @ penalty[:, None]))[:, 0, 0]
+        for j, value in zip(ids.tolist(), objective.tolist()):
+            logs[j].append(value)
         return objective, grad, viol
 
     # overflow and 0/0 show up as a non-finite objective or step, which stop
     # the column, rather than as warnings
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        objective, grad, viol = evaluate()
-        rounds = [(ids, objective)]
-        while ids.size:
-            steps = len(rounds) - 1
+        for steps in range(PD_MAX_STEPS + 1):
+            if not ids.size:
+                break
+            objective, grad, viol = evaluate()
             enter = viol.argmax(axis=1)
             at = base + enter
-            stop = ~np.isfinite(objective) | (viol.take(at) <= tol)
-            if steps >= PD_MAX_STEPS:
-                stop[:] = True
+            stop = (steps == PD_MAX_STEPS) | ~np.isfinite(objective) | (viol.take(at) <= tol)
             newton = np.where(free, viol, -np.inf).max(axis=1) > tol
             # an entering entry moves off the box towards 0, or off 0 downhill
             entering = ~(stop | newton)
@@ -315,19 +310,15 @@ def _fit_batch(x_a, k_b, design, gram, penalty, columns):
             sign.put(at, np.where(entering & ~boxed, direction, sign_at))
             width = n_free + entering
             moving = (~stop).nonzero()[0]
-            widths = sorted(set(width[moving].tolist()))
-            for m in widths:
-                group = moving if len(widths) == 1 else moving[width[moving] == m]
+            for m in sorted(set(width[moving].tolist())):
+                group = moving[width[moving] == m]
                 nt = newton[group]
-                n_newton = np.count_nonzero(nt)
                 idx = order[group, :m]
                 idx[:, -1] = np.where(nt, idx[:, -1], enter[group])
                 flat = base[group, None] + idx
                 sub = gram.take(idx[:, :, None] * dim + idx[:, None, :])
                 lin = grad.take(flat) + penalty.take(idx) * sign.take(flat)
-                if n_newton == group.size:
-                    step = _newton_steps(sub, lin)
-                elif n_newton == 0:
+                if not nt.any():
                     step = _entering_steps(sub, direction[group])
                 else:
                     step = np.empty((group.size, m))
@@ -374,20 +365,11 @@ def _fit_batch(x_a, k_b, design, gram, penalty, columns):
                 worst = viol[stop].max(axis=1)
                 out_z[ids[stop]] = z[stop]
                 out_viol[ids[stop]] = np.where(0.0 > worst, 0.0, worst)
-                out_steps[ids[stop]] = steps
                 keep = ~stop
                 z, sign, free, at_box, order, n_free, pin, tol, ids = (
                     a[keep] for a in (z, sign, free, at_box, order, n_free, pin, tol, ids))
-                if not ids.size:
-                    break
                 base = np.arange(ids.size) * dim
-            objective, grad, viol = evaluate()
-            rounds.append((ids, objective))
-    history = np.full((len(rounds), out_z.shape[0]), np.nan)
-    for t, (live, values) in enumerate(rounds):
-        history[t, live] = values
-    histories = [history[: s + 1, j].copy() for j, s in enumerate(out_steps)]
-    return out_z, histories, out_viol, tols
+    return out_z, [np.asarray(log) for log in logs], out_viol, tols
 
 
 def _result(x_a, k_b, basis_index, z, history, violation, tol) -> PrimalDualResult:

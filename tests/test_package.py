@@ -1,6 +1,7 @@
 """The package namespace: public names resolve lazily to their layer's objects."""
 
 import importlib
+import sys
 
 import pytest
 
@@ -30,10 +31,13 @@ def test_dir_lists_every_public_name_and_layer():
     assert {"cli", "dataset", "kernel", "sparse"} <= set(listed)
 
 
-def test_layer_modules_resolve_as_attributes():
+def test_layer_modules_resolve_as_attributes(monkeypatch):
     for layer in ("cli", "dataset", "numerics", "linear", "regularized", "kernel", "sparse",
                   "evaluation"):
         assert getattr(cancorr, layer) is importlib.import_module(f"cancorr.{layer}")
+        # without the attribute the import bound, the package's __getattr__ resolves it
+        monkeypatch.delattr(cancorr, layer)
+        assert getattr(cancorr, layer) is sys.modules[f"cancorr.{layer}"]
 
 
 def test_unknown_name_raises_attribute_error():

@@ -1,7 +1,9 @@
 """The reproduce script runs end to end on one seed per section; the output
-comparison script finds what differs between two source trees."""
+comparison script finds what differs between two source trees; the line
+tracer lists the statements a call leaves unexecuted."""
 
 import importlib.util
+import inspect
 import re
 import shutil
 from pathlib import Path
@@ -106,3 +108,24 @@ def test_compare_outputs_plans_each_invocation_once(compare_outputs):
     extra = compare_outputs.command_lines([3], ["pdscca --recipe example10 --basis 23"])
     assert extra[-1][1][-4:] == ("--seed", "3", "--out",
                                  ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")
+
+
+UNEXECUTED = Path(__file__).resolve().parents[1] / "scripts" / "unexecuted_lines.py"
+
+
+def test_unexecuted_lines_lists_the_statements_a_call_skips():
+    from cancorr import numerics
+
+    spec = importlib.util.spec_from_file_location("unexecuted_lines", UNEXECUTED)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    body, first = inspect.getsourcelines(numerics.chi2_quantile)
+    lines = {kind: [f"src/cancorr/numerics.py:{first + i}"
+                    for i, line in enumerate(body) if line.lstrip().startswith(kind)]
+             for kind in ("raise", "return")}
+    assert len(lines["raise"]) == 2 and len(lines["return"]) == 1
+    missed = module.unexecuted(lambda: numerics.chi2_quantile(0.5, 2))
+    assert set(lines["raise"]) <= set(missed)
+    assert lines["return"][0] not in missed
+    # the docstring is no statement
+    assert f"src/cancorr/numerics.py:{first + 1}" not in missed

@@ -2,6 +2,7 @@
 decomposition, and the primal-dual basis-matching variant."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -263,7 +264,11 @@ class TestFitPmd:
         # each half-step is an exact maximiser: monotone up to roundoff
         data = generate_synthetic(get_recipe("example9", seed=2))
         res = fit_pmd(covariance_blocks(data).c_ab, 1.2, 1.2, 2)
-        for history in res.objective_histories:
+        assert type(res.iterations) is tuple and all(type(i) is int for i in res.iterations)
+        assert type(res.converged) is tuple and all(type(c) is bool for c in res.converged)
+        assert type(res.objective_histories) is tuple and len(res.objective_histories) == res.r
+        for history, iterations in zip(res.objective_histories, res.iterations):
+            assert history.dtype == float and history.shape == (iterations,)
             assert np.all(np.diff(history) >= -1e-12)
 
     def test_residual_exhaustion_truncates_ranks(self):
@@ -439,6 +444,29 @@ class TestScanBasis:
                 fit_primal_dual(x_a, 1e200 * np.eye(6), 0.1, 0.1, 2)
         with pytest.raises(NumericalError, match="every basis column failed"):
             scan_basis(np.zeros((0, 3)), np.zeros((0, 0)), 0.1, 0.1)
+
+    def test_empty_batch_runs_no_round(self):
+        """A batch of no columns returns empty results without evaluating a
+        round, and a scan of no columns has no finite objective."""
+        x_a, k_b = np.zeros((0, 2)), np.zeros((0, 0))
+        problem = sparse_module._stacked_problem(x_a, k_b, 0.1, 0.1)
+        rounds = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "evaluate":
+                rounds.append(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            z, histories, violations, tols = sparse_module._fit_batch(*problem, [])
+        finally:
+            sys.setprofile(previous)
+        assert rounds == []
+        assert z.shape == (0, 2) and histories == []
+        assert violations.shape == (0,) and tols.shape == (0,)
+        with pytest.raises(NumericalError, match="every basis column failed"):
+            scan_basis(x_a, k_b, 0.1, 0.1)
 
     def test_no_finite_step_stops_unconverged(self):
         """The entering column's squared norm, 1e-328, underflows to 0, so the
