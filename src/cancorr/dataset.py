@@ -168,11 +168,13 @@ def covariance_blocks(data: PairedDataset) -> CovarianceBlocks:
 # synthetic recipes
 
 
-TRANSFORMS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda x: x,
-    "negate": lambda x: -x,
-    "cube": lambda x: x**3,
-    "exp": np.exp,
+# Each transform's function and the format of its signal's label, ``{}`` standing
+# for the source column's name.
+TRANSFORMS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], str]] = {
+    "identity": (lambda x: x, "{}"),
+    "negate": (lambda x: -x, "-{}"),
+    "cube": (lambda x: x**3, "{}^3"),
+    "exp": (np.exp, "exp({})"),
 }
 
 
@@ -195,13 +197,7 @@ class Relation:
 
     def label(self) -> str:
         """Human-readable signal name, e.g. ``exp(a3)`` or ``-a4``."""
-        var = f"a{self.source + 1}"
-        return {
-            "identity": var,
-            "negate": f"-{var}",
-            "cube": f"{var}^3",
-            "exp": f"exp({var})",
-        }[self.transform]
+        return TRANSFORMS[self.transform][1].format(f"a{self.source + 1}")
 
 
 @dataclass(frozen=True)
@@ -226,46 +222,29 @@ class SyntheticRecipe:
                 raise ValueError(f"relation target {rel.target} out of range for q={self.q}")
 
 
+def _planted(noise_stds, transforms=("identity", "identity", "negate")) -> tuple[Relation, ...]:
+    """The relations that examples 1 and 6-9 plant, b1 from a3, b2 from a1 and b3
+    from a4, with one noise level and one transform per relation."""
+    pairs = zip(((2, 0), (0, 1), (3, 2)), transforms, noise_stds)
+    return tuple(Relation(source, target, transform, noise_std)
+                 for (source, target), transform, noise_std in pairs)
+
+
+_EXAMPLE7 = SyntheticRecipe(
+    "example7", n=150, p=7, q=8, relations=_planted((0.4, 0.2, 0.3), ("exp", "cube", "negate")),
+)
+
 RECIPES: dict[str, SyntheticRecipe] = {
     "example1": SyntheticRecipe(
-        "example1", n=60, p=4, q=3,
-        relations=(
-            Relation(source=2, target=0, transform="identity", noise_std=0.2),
-            Relation(source=0, target=1, transform="identity", noise_std=0.4),
-            Relation(source=3, target=2, transform="negate", noise_std=0.3),
-        ),
+        "example1", n=60, p=4, q=3, relations=_planted((0.2, 0.4, 0.3)),
     ),
     "example6": SyntheticRecipe(
-        "example6", n=60, p=70, q=10,
-        relations=(
-            Relation(source=2, target=0, transform="identity", noise_std=0.01),
-            Relation(source=0, target=1, transform="identity", noise_std=0.03),
-            Relation(source=3, target=2, transform="negate", noise_std=0.02),
-        ),
+        "example6", n=60, p=70, q=10, relations=_planted((0.01, 0.03, 0.02)),
     ),
-    "example7": SyntheticRecipe(
-        "example7", n=150, p=7, q=8,
-        relations=(
-            Relation(source=2, target=0, transform="exp", noise_std=0.4),
-            Relation(source=0, target=1, transform="cube", noise_std=0.2),
-            Relation(source=3, target=2, transform="negate", noise_std=0.3),
-        ),
-    ),
-    "example8": SyntheticRecipe(
-        "example8", n=10000, p=7, q=8,
-        relations=(
-            Relation(source=2, target=0, transform="exp", noise_std=0.4),
-            Relation(source=0, target=1, transform="cube", noise_std=0.2),
-            Relation(source=3, target=2, transform="negate", noise_std=0.3),
-        ),
-    ),
+    "example7": _EXAMPLE7,
+    "example8": replace(_EXAMPLE7, recipe_id="example8", n=10000),
     "example9": SyntheticRecipe(
-        "example9", n=50, p=100, q=150,
-        relations=(
-            Relation(source=2, target=0, transform="identity", noise_std=0.08),
-            Relation(source=0, target=1, transform="identity", noise_std=0.07),
-            Relation(source=3, target=2, transform="negate", noise_std=0.05),
-        ),
+        "example9", n=50, p=100, q=150, relations=_planted((0.08, 0.07, 0.05)),
     ),
     "example10": SyntheticRecipe("example10", n=50, p=100, q=150, relations=()),
 }
@@ -291,14 +270,14 @@ def generate_synthetic(recipe: SyntheticRecipe) -> PairedDataset:
     view_b = _standard_normal(rng, (recipe.n, recipe.q))
     for rel in recipe.relations:
         noise = rel.noise_std * _standard_normal(rng, recipe.n)
-        view_b[:, rel.target] = TRANSFORMS[rel.transform](view_a[:, rel.source]) + noise
+        view_b[:, rel.target] = TRANSFORMS[rel.transform][0](view_a[:, rel.source]) + noise
     return standardize(PairedDataset(view_a, view_b))
 
 
 def relation_signals(recipe: SyntheticRecipe, data: PairedDataset) -> dict[str, np.ndarray]:
     """Named candidate signals (transformed view-a columns) for relation tables."""
     return {
-        rel.label(): TRANSFORMS[rel.transform](data.view_a[:, rel.source])
+        rel.label(): TRANSFORMS[rel.transform][0](data.view_a[:, rel.source])
         for rel in recipe.relations
     }
 
@@ -372,7 +351,7 @@ def write_view_csv(path, matrix, names) -> None:
 
 def read_view_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read one view from CSV; every cell must be a finite decimal number."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             names = tuple(next(reader))

@@ -164,6 +164,16 @@ def _resolve_r(r: int | None, blocks: CovarianceBlocks | PairedDataset) -> int:
     return int(r)
 
 
+def _gated_blocks(data: PairedDataset, r: int | None) -> tuple[CovarianceBlocks, int]:
+    """The eigen solvers' prologue: the covariance blocks and the resolved ``r``,
+    once both within-view blocks pass the ``COND_LIMIT`` gate."""
+    blocks = covariance_blocks(data)
+    r = _resolve_r(r, blocks)
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
+    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
+    return blocks, r
+
+
 def _finalize(data: PairedDataset, w_a: np.ndarray, w_b: np.ndarray, solver: str) -> CcaModel:
     """Fix signs, then orient the pairs and sort them by image cosine (``ranked_pairs``)."""
     w_a = fix_signs(w_a)
@@ -210,10 +220,7 @@ def fit_standard_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     r : int, optional
         Number of components; defaults to ``min(p, q)``.
     """
-    blocks = covariance_blocks(data)
-    r = _resolve_r(r, blocks)
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
+    blocks, r = _gated_blocks(data, r)
     if blocks.q <= blocks.p:
         w_a, w_b = _eig_core(blocks.c_aa, blocks.c_bb, blocks.c_ab, r)
     else:
@@ -229,17 +236,10 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     ``|p - q|`` zeros, and the top ``r`` eigenvectors are split into the two
     weight blocks and renormalised to the unit-variance constraint.
     """
-    blocks = covariance_blocks(data)
-    r = _resolve_r(r, blocks)
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
+    blocks, r = _gated_blocks(data, r)
     p, q = blocks.p, blocks.q
-    a = np.zeros((p + q, p + q))
-    a[:p, p:] = blocks.c_ab
-    a[p:, :p] = blocks.c_ba
-    b = np.zeros((p + q, p + q))
-    b[:p, :p] = blocks.c_aa
-    b[p:, p:] = blocks.c_bb
+    a = np.block([[np.zeros((p, p)), blocks.c_ab], [blocks.c_ba, np.zeros((q, q))]])
+    b = scipy.linalg.block_diag(blocks.c_aa, blocks.c_bb)
     values, vectors = scipy.linalg.eigh(a, b)
     top = np.argsort(-values, kind="stable")[:r]
     w_a = _unit_variance_columns(vectors[:p, top], blocks.c_aa)

@@ -135,8 +135,6 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
         w_b[int(np.argmax(np.abs(resid).max(axis=0)))] = 1.0
         w_a = np.zeros(p)
         history = []
-        done = False
-        iters = 0
         for iters in range(1, PMD_MAX_ITER + 1):
             w_a_new = sparse_unit_solve(resid @ w_b, budget_a)
             w_b_new = sparse_unit_solve(resid.T @ w_a_new, budget_b)
@@ -147,11 +145,11 @@ def fit_pmd(c_ab, budget_a: float, budget_b: float, r: int) -> PmdResult:
             )
             w_a, w_b = w_a_new, w_b_new
             if delta <= PMD_CONVERGENCE_TOL:
-                done = True
                 break
-        sigma = float(w_a @ resid @ w_b)
+        # the last objective is w_a.T C w_b at the final weights
+        sigma = history[-1]
         resid = resid - sigma * np.outer(w_a, w_b)
-        ranks.append((w_a, w_b, sigma, iters, done, np.asarray(history)))
+        ranks.append((w_a, w_b, sigma, iters, delta <= PMD_CONVERGENCE_TOL, np.asarray(history)))
     if not ranks:
         raise NumericalError("cross-covariance is numerically zero; nothing to decompose")
     w_a_cols, w_b_cols, sigmas, iterations, converged, histories = zip(*ranks)

@@ -98,3 +98,20 @@ def traced_peak(fn, *args, **kwargs):
         if not tracing:
             tracemalloc.stop()
     return result, (peak - before) / 8
+
+
+def conjugate_pair_eig(imag_fraction: float):
+    """A stand-in for ``numpy.linalg.eig`` that turns the two smallest eigenvalues
+    into the conjugate pair ``m ± i imag_fraction (1 + max|value|)``, where ``m``
+    is their mean, and returns the eigenvectors unchanged."""
+    original = np.linalg.eig
+
+    def eig(matrix):
+        values, vectors = original(matrix)
+        low = np.argsort(values.real, kind="stable")[:2]
+        imag = imag_fraction * (1.0 + float(np.abs(values).max()))
+        values = values.astype(complex)
+        values[low] = values.real[low].mean() + 1j * imag * np.array([1.0, -1.0])
+        return values, vectors.astype(complex)
+
+    return eig

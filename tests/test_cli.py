@@ -8,16 +8,23 @@ files exactly as a scripted pipeline would.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cancorr.cli as cli
 import cancorr.linear
@@ -35,7 +42,7 @@ from cancorr.kernel import (
     KernelSpec, build_gram_pair, center_gram, fit_kernel_cca_pgso, gram, median_heuristic,
 )
 from cancorr.numerics import NumericalError
-from tests.conftest import weak_second_relation
+from tests.conftest import conjugate_pair_eig, weak_second_relation
 
 
 def run(*argv) -> int:
@@ -383,6 +390,14 @@ class TestSimulateCommand:
         corr_files = report_of(out_files)["correlations"]
         corr_recipe = report_of(out_recipe)["correlations"]
         assert np.allclose(corr_files, corr_recipe, atol=1e-12)
+        # copies that start with a UTF-8 byte-order mark fit to the same weights
+        for name in ("view_a.csv", "view_b.csv"):
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (sim / name).read_bytes())
+        out_bom = tmp_path / "from_bom_files"
+        assert run("fit", "--view-a", tmp_path / "bom_view_a.csv",
+                   "--view-b", tmp_path / "bom_view_b.csv", "--out", out_bom) == 0
+        for name in ("weights_a.csv", "weights_b.csv"):
+            assert (out_bom / name).read_bytes() == (out_files / name).read_bytes()
 
 
 class TestKccaCommand:
@@ -748,6 +763,14 @@ class TestErrorExits:
         rc = run("fit", "--view-a", path, "--out", tmp_path / "out")
         assert rc == 2
 
+    def test_complex_spectrum_exits_with_numerical_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", conjugate_pair_eig(1e-6))
+        rc = run("fit", "--recipe", "example1", "--seed", "0", "--solver", "eig",
+                 "--out", tmp_path)
+        assert rc == 3
+        assert "one-view eigenproblem produced a complex spectrum" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_singular_data_exits_with_numerical_code(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         col = rng.normal(size=8)
@@ -917,6 +940,113 @@ class TestReproducibility:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# The column kinds of the generated CSV views: a fresh normal draw, a copy or a
+# random combination of an earlier column of either view, a draw rounded to
+# halves, a draw shrunk onto a constant, and draws scaled by 1e150 and 1e-150.
+COLUMN_KINDS = ("plain", "duplicated", "collinear", "rounded", "near_constant", "huge", "tiny")
+# plain at least half the time: a tiny column, or a near-constant one below the
+# standardization floor, fails the whole draw with exit 2
+COLUMN = st.one_of(st.just("plain"), st.sampled_from(COLUMN_KINDS))
+
+# Every command but simulate, with the flags that choose its other routes;
+# small grids keep the cv runs short.
+CONTRACT_COMMANDS = (
+    ("fit",),
+    ("fit", "--solver", "eig", "--components", "1"),
+    ("fit", "--solver", "geneig", "--test-split", "0.3"),
+    ("test", "--solver", "eig"),
+    ("biplot", "--solver", "geneig"),
+    ("cv", "--grid-c1", "1e-3,1", "--grid-c2", "1e-3,1", "--folds", "2", "--reps", "1"),
+    ("kcca",),
+    ("kcca", "--kernel-a", "linear", "--sigma-b", "0.5", "--components", "1"),
+    ("kcca", "--pgso"),
+    ("pmd", "--budget-a", "1.5", "--components", "1"),
+    ("pdscca",),
+    ("pdscca", "--kernel-b", "linear", "--basis", "0"),
+)
+
+
+def generated_views(seed: int, n: int, kinds_a, kinds_b) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in (*kinds_a, *kinds_b):
+        x = rng.standard_normal(n)
+        if kind == "duplicated" and columns:
+            x = columns[rng.integers(len(columns))].copy()
+        elif kind == "collinear" and columns:
+            weights = rng.standard_normal(2)
+            x = weights[0] * columns[rng.integers(len(columns))] + weights[1] * columns[-1]
+        elif kind == "rounded":
+            x = np.round(2.0 * x) / 2.0
+        elif kind == "near_constant":
+            x = 3.0 + 10.0 ** -float(rng.integers(6, 14)) * x
+        elif kind in ("huge", "tiny"):
+            x = x * (1e150 if kind == "huge" else 1e-150)
+        columns.append(x)
+    return (np.column_stack(columns[:len(kinds_a)]), np.column_stack(columns[len(kinds_a):]))
+
+
+class TestGeneratedExitContract:
+    """Small generated CSV pairs through every data command, each run twice
+    in-process into one ``--out``: the exit code is 0, 2 or 3 and nothing else
+    escapes, a failed run leaves no file, a numerical failure never exits 2, the
+    report lists every side file, both runs write the same bytes, and no warning
+    escapes."""
+
+    @staticmethod
+    def run_quietly(argv, failures: list) -> int:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            failures.clear()
+            code = main([str(a) for a in argv])
+        assert [str(w.message) for w in caught] == [], argv
+        assert code in (0, 2, 3), argv
+        if code == 2:
+            assert not isinstance(failures[-1], (NumericalError, np.linalg.LinAlgError)), (
+                argv, failures[-1])
+        return code
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(2, 15),
+        kinds_a=st.lists(COLUMN, min_size=1, max_size=11),
+        kinds_b=st.lists(COLUMN, min_size=1, max_size=11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exit_contract_on_generated_views(self, n, kinds_a, kinds_b, seed):
+        view_a, view_b = generated_views(seed, n, kinds_a, kinds_b)
+        # the exception each failed run is handling when it removes its files
+        failures = []
+        cleanup = cli.OutputTracker.cleanup
+
+        def recorded_cleanup(tracker):
+            failures.append(sys.exc_info()[1])
+            cleanup(tracker)
+
+        with tempfile.TemporaryDirectory() as scratch, \
+                mock.patch.object(cli.OutputTracker, "cleanup", recorded_cleanup):
+            root = Path(scratch)
+            write_view_csv(root / "a.csv", view_a, [f"a{i}" for i in range(view_a.shape[1])])
+            write_view_csv(root / "b.csv", view_b, [f"b{i}" for i in range(view_b.shape[1])])
+            for index, command in enumerate(CONTRACT_COMMANDS):
+                out = root / f"out{index}"
+                argv = (*command, "--view-a", root / "a.csv", "--view-b", root / "b.csv",
+                        "--out", out)
+                codes, written = [], []
+                for _ in range(2):
+                    codes.append(self.run_quietly(argv, failures))
+                    written.append(snapshot(out) if out.exists() else {})
+                assert codes[0] == codes[1], argv
+                assert written[0] == written[1], argv
+                if codes[0] != 0:
+                    assert written[0] == {}, argv
+                else:
+                    listed = json.loads(written[0]["report.json"])["files"].values()
+                    assert sorted(listed) == sorted(set(written[0]) - {"report.json"}), argv
 
 
 # Runs ``python -m cancorr ARGV`` in this interpreter and writes, as JSON, its

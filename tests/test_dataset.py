@@ -282,6 +282,16 @@ class TestCsvRoundTrip:
         assert names == ("x", "y", "z")
         assert np.array_equal(back, mat)
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+        mat = np.array([[1.5, -2.0], [0.25, 3.0], [-1.0, 0.5]])
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_view_csv(plain, mat, ["a1", "a2"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back, names = read_view_csv(marked)
+        assert names == read_view_csv(plain)[1] == ("a1", "a2")
+        assert np.array_equal(back, mat)
+
     def test_write_rejects_mismatched_names(self, tmp_path):
         with pytest.raises(ValueError, match="names"):
             write_view_csv(tmp_path / "v.csv", np.zeros((2, 2)), ["only_one"])

@@ -21,7 +21,7 @@ from cancorr import (
 from cancorr.dataset import covariance_blocks
 from cancorr.linear import _SpectralCore
 from cancorr.numerics import gen_eig_sym, well_conditioned
-from tests.conftest import weak_second_relation
+from tests.conftest import conjugate_pair_eig, weak_second_relation
 
 ALL_SOLVERS = (fit_standard_eig, fit_generalized_eig, fit_svd)
 
@@ -262,6 +262,23 @@ class TestComponentFloor:
             with pytest.raises(NumericalError, match="a canonical correlation is exactly 0, "
                                "so that weight is undefined; fit with svd"):
                 solver(data)
+
+
+class TestComplexSpectrum:
+    def test_conjugate_pair_above_the_threshold_refused(self, example1_data, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eig", conjugate_pair_eig(1e-6))
+        with pytest.raises(NumericalError,
+                           match="one-view eigenproblem produced a complex spectrum"):
+            fit_standard_eig(example1_data)
+
+    def test_conjugate_pair_below_the_threshold_fits(self, example1_data, monkeypatch):
+        # the eigenvalues only rank the eigenvectors, which are unchanged
+        plain = fit_standard_eig(example1_data)
+        monkeypatch.setattr(np.linalg, "eig", conjugate_pair_eig(1e-10))
+        model = fit_standard_eig(example1_data)
+        for got, want in ((model.correlations, plain.correlations), (model.w_a, plain.w_a),
+                          (model.w_b, plain.w_b)):
+            assert np.array_equal(got, want)
 
 
 class TestPencilSpectrum:

@@ -129,3 +129,40 @@ def test_unexecuted_lines_lists_the_statements_a_call_skips():
     assert lines["return"][0] not in missed
     # the docstring is no statement
     assert f"src/cancorr/numerics.py:{first + 1}" not in missed
+
+
+CODE_LINES = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+
+
+def test_code_lines_counts_only_code():
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = '''"""Module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f(x):
+    """Function docstring."""
+
+    total = (x +
+             1)
+    note = """a string
+    that is code"""
+    return total, note
+
+
+class C:
+    """Class docstring
+    on two lines."""
+
+    value = [
+        # a comment inside brackets
+        1,
+    ]
+'''
+    # import, def, two lines of total, two of note, return, class, three of value
+    assert module.code_lines(source) == 11
