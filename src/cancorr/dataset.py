@@ -9,7 +9,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-# Columns with sample standard deviation below this cannot be standardized.
+# Columns whose sample standard deviation is at most this fraction of their
+# largest magnitude cannot be standardized; the rule does not depend on units.
 STD_FLOOR = 1e-12
 
 # How floats are written to CSV; 17 significant digits round-trip float64 exactly.
@@ -101,7 +102,7 @@ class PairedDataset:
 def _column_stats(x: np.ndarray, names: tuple[str, ...]):
     mean = x.mean(axis=0)
     std = x.std(axis=0, ddof=1)
-    bad = np.flatnonzero(std < STD_FLOOR)
+    bad = np.flatnonzero(std <= STD_FLOOR * np.abs(x).max(axis=0))
     if bad.size:
         raise ValueError(f"column '{names[bad[0]]}' is constant and cannot be standardized")
     return mean, std

@@ -11,9 +11,8 @@ import numpy as np
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    COND_LIMIT, NumericalError, check_symmetric, fix_signs, partial_gram_schmidt,
-    pearson_columns, ranked_pairs, require_components, residual_diagonal, top_svd,
-    well_conditioned,
+    COND_LIMIT, NumericalError, _pivoted_factor, check_symmetric, fix_signs, pearson_columns,
+    ranked_pairs, require_components, top_svd, well_conditioned,
 )
 
 # scipy.linalg is imported inside the functions that call it: the pdscca
@@ -224,8 +223,9 @@ class KernelCcaModel:
 
     The reduced route also records, per view, the column count of the Gram's
     factor and the residual trace ``trace(K - R R.T)`` it leaves, summed from
-    the ``residual_diagonal`` clipped at zero (so, unlike ``trace(K) -
-    ||R||_F^2``, never negative); the direct route leaves both empty.
+    the residual diagonal clipped at zero by the factorisation itself (so,
+    unlike ``trace(K) - ||R||_F^2``, never negative); the direct route leaves
+    both empty.
     """
 
     alpha: np.ndarray
@@ -389,8 +389,10 @@ def fit_kernel_cca_pgso(
 ) -> KernelCcaModel:
     """Kernel CCA on incomplete Cholesky factors of both Grams.
 
-    Factorises ``K ~= R R.T`` per view with ``partial_gram_schmidt`` (greedy
-    pivoting, trace cutoff ``eta``, defaulting to ``1e-6 * trace(K)``), forms
+    Factorises ``K ~= R R.T`` per view in one pass of ``partial_gram_schmidt``'s
+    body (greedy pivoting, trace cutoff ``eta``, defaulting to ``1e-6 *
+    trace(K)``), which also gives the residual trace; both Grams were checked
+    by ``GramPair`` when it was built, and ``eta`` by ``_check_pgso``.  It forms
     the reduced blocks ``D_xy = R_x.T R_y``, and takes the top ``r`` singular
     triplets ``(u, rho, v)`` of the whitened cross block
     ``inv(S) D_ab inv(L_b).T``, with ``D_aa = S S.T`` and
@@ -421,10 +423,8 @@ def fit_kernel_cca_pgso(
     import scipy.linalg
 
     _check_pgso(kappa, eta, r)
-    eta_a = 1e-6 * float(np.trace(grams.k_a)) if eta is None else float(eta)
-    eta_b = 1e-6 * float(np.trace(grams.k_b)) if eta is None else float(eta)
-    r_a = partial_gram_schmidt(grams.k_a, eta_a)
-    r_b = partial_gram_schmidt(grams.k_b, eta_b)
+    r_a, eta_a, trace_a = _pivoted_factor(grams.k_a, eta)
+    r_b, eta_b, trace_b = _pivoted_factor(grams.k_b, eta)
     # R.T @ R is exactly symmetric, so its transpose is an F-order view of the
     # same block, which is factored in place
     s = _reduced_cholesky((r_a.T @ r_a).T)
@@ -448,9 +448,7 @@ def fit_kernel_cca_pgso(
     beta = r_b @ scipy.linalg.cho_solve((bb_plain, True), beta_red)
     return _assemble_kernel_model(
         grams, alpha, beta, "kernel_pgso", {"kappa": kappa, "eta_a": eta_a, "eta_b": eta_b},
-        factor_columns=(r_a.shape[1], r_b.shape[1]),
-        residual_traces=tuple(float(np.maximum(residual_diagonal(k, f), 0.0).sum())
-                              for k, f in ((grams.k_a, r_a), (grams.k_b, r_b))),
+        factor_columns=(r_a.shape[1], r_b.shape[1]), residual_traces=(trace_a, trace_b),
     )
 
 

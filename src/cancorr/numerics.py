@@ -355,8 +355,8 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
       sum by roundoff of order ``n^2 eps max(diag k)``, which the allowance
       keeps below ``eta / 2``; so the cutoff has been reached by then.
 
-    ``k`` passes as positive semi-definite while its diagonal and every row's
-    ``residual_diagonal`` stay at or above ``-1e-9 * sum |diag k|``, a floor that
+    ``k`` passes as positive semi-definite while its diagonal and every entry
+    of the residual diagonal stay at or above ``-1e-9 * sum |diag k|``, a floor that
     scales with ``k`` as the residual's roundoff (at most ~``2.2e-10 * trace``) does.
 
     Parameters
@@ -370,15 +370,29 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     -------
     ndarray of shape (n, m) with m <= n such that ``k ~= r @ r.T``.
     """
-    import scipy.linalg
-
     k = check_symmetric(k, name="gram matrix")
     if not (np.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    return _pivoted_factor(k, eta)[0]
+
+
+def _pivoted_factor(k: np.ndarray, eta: float | None) -> tuple[np.ndarray, float, float]:
+    """``partial_gram_schmidt`` on a Gram that ``check_symmetric`` passed,
+    with a cutoff already validated; ``eta=None`` is ``1e-6`` of the trace.
+
+    Returns the factor ``r``, the cutoff used, and the residual trace: the
+    diagonal of ``k - r @ r.T`` clipped at zero and summed, so, unlike
+    ``trace(k) - ||r||_F^2``, never negative.
+    """
+    import scipy.linalg
+
     n = k.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
     d = np.diag(k)
+    trace = float(d.sum())
+    if eta is None:
+        eta = 1e-6 * trace
+    if n == 0:
+        return np.zeros((0, 0)), eta, 0.0
     floor = -1e-9 * float(np.abs(d).sum())
     if float(d.min()) < floor:
         raise NumericalError(
@@ -398,23 +412,18 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     for j in range(1, rank):
         c[:j, j] = 0.0
     factor = c[:, :rank]
-    residual_trace = float(d.sum()) - np.concatenate(
-        [[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))]
-    )
-    cols = int(np.argmax(residual_trace <= eta)) if residual_trace[-1] <= eta else rank
+    traces = trace - np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->j", factor, factor))])
+    cols = int(np.argmax(traces <= eta)) if traces[-1] <= eta else rank
     r = np.empty((n, cols))
     r[piv - 1] = factor[:, :cols]
-    if float(residual_diagonal(k, r).min()) < floor:
+    # the residual diagonal, from the row norms of the factor
+    residual = d - np.einsum("ij,ij->i", r, r)
+    if float(residual.min()) < floor:
         raise NumericalError(
             "residual diagonal went negative during pivoting; "
             "input is not positive semi-definite"
         )
-    return r
-
-
-def residual_diagonal(k: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Diagonal of ``k - factor @ factor.T``, from the row norms of ``factor``."""
-    return np.diag(k) - np.einsum("ij,ij->i", factor, factor)
+    return r, eta, float(np.maximum(residual, 0.0).sum())
 
 
 def chi2_quantile(p: float, df: int) -> float:

@@ -77,6 +77,29 @@ class TestStandardize:
         with pytest.raises(ValueError, match="'a2' is constant"):
             standardize(PairedDataset(x, np.random.default_rng(0).standard_normal((5, 1))))
 
+    @pytest.mark.parametrize("value", [0.0, 3.0, 1e-150, 1e150])
+    def test_constant_column_in_any_units_is_an_error(self, value):
+        x = np.full((5, 2), value)
+        x[:, 0] = np.arange(5)
+        with pytest.raises(ValueError, match="'a2' is constant"):
+            standardize(PairedDataset(x, np.random.default_rng(0).standard_normal((5, 1))))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-12, 1e12, 1e150])
+    def test_column_in_any_units_standardizes(self, scale):
+        # the floor is relative to the column's magnitude, so units do not matter
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((30, 2)), rng.standard_normal((30, 1))
+        plain = standardize(PairedDataset(x, y)).view_a
+        scaled = standardize(PairedDataset(x * [1.0, scale], y)).view_a
+        assert np.abs(scaled - plain).max() <= 1e-15
+
+    def test_spread_below_the_relative_floor_is_constant(self):
+        # 1e6 + 1e-7 noise keeps fewer than four significant digits once centred
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.standard_normal(30), 1e6 + 1e-7 * rng.standard_normal(30)])
+        with pytest.raises(ValueError, match="'a2' is constant"):
+            standardize(PairedDataset(x, rng.standard_normal((30, 1))))
+
     @given(st.integers(0, 200), st.integers(3, 30), st.integers(1, 5), st.integers(1, 5))
     def test_column_statistics(self, seed, n, p, q):
         rng = np.random.default_rng(seed)

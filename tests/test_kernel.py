@@ -1,6 +1,7 @@
 """Kernel CCA: Gram construction, centering, widths, both solver routes, relation tables."""
 
 import csv
+import sys
 import warnings
 
 import numpy as np
@@ -918,6 +919,39 @@ class TestFitKernelCcaPgso:
                 assert residual >= 0.0
                 assert abs(residual - (trace - np.sum(factor**2))) <= 1e-9 * trace
 
+    def test_each_gram_checked_and_factored_once(self, monkeypatch):
+        # GramPair checks both Grams when it is built; the fit trusts that
+        # check and factors each Gram in one pass, which also gives the default
+        # eta and the residual trace the fit used to recompute
+        import cancorr.numerics as numerics_module
+
+        checked, factored = [], []
+        check, factor = numerics_module.check_symmetric, numerics_module._pivoted_factor
+
+        def counted_check(a, name="matrix"):
+            checked.append(sys._getframe(1).f_code.co_name)
+            return check(a, name)
+
+        def counted_factor(k, eta):
+            factored.append(k)
+            return factor(k, eta)
+
+        for module in (kernel_module, numerics_module):
+            monkeypatch.setattr(module, "check_symmetric", counted_check)
+        monkeypatch.setattr(kernel_module, "_pivoted_factor", counted_factor)
+        data = standardize(generate_synthetic(get_recipe("example7", seed=0)))
+        pair = build_gram_pair(data, KernelSpec("gaussian"), KernelSpec("gaussian"))
+        model = fit_kernel_cca_pgso(pair, kappa=0.5, r=3)
+        assert checked == ["__post_init__", "__post_init__"]
+        assert len(factored) == 2
+        assert factored[0] is pair.k_a and factored[1] is pair.k_b
+        reg = dict(model.regularization)
+        for k, view, residual in zip(factored, "ab", model.residual_traces):
+            r = partial_gram_schmidt(k, 1e-6 * float(np.trace(k)))
+            assert reg[f"eta_{view}"] == 1e-6 * float(np.trace(k))
+            diagonal = np.diag(k) - np.einsum("ij,ij->i", r, r)
+            assert residual == float(np.maximum(diagonal, 0.0).sum())
+
     def test_duplicated_observations_reduce_rank(self):
         rng = np.random.default_rng(9)
         base = rng.standard_normal((12, 3))
@@ -948,7 +982,7 @@ class TestFitKernelCcaPgso:
         def unreachable(*args, **kwargs):
             raise AssertionError("a Gram factored for a fit that cannot run")
 
-        monkeypatch.setattr(kernel_module, "partial_gram_schmidt", unreachable)
+        monkeypatch.setattr(kernel_module, "_pivoted_factor", unreachable)
         pair = gaussian_pair(generate_synthetic(get_recipe("example7", seed=0, n=30)))
         with pytest.raises(ValueError, match="kappa must be positive and finite"
                            if eta is None else "eta must be finite and nonnegative"):
@@ -993,9 +1027,9 @@ class TestFitKernelCcaPgso:
 
         def degenerate_factor(k, eta):
             col = k[:, :1]
-            return np.hstack([col, col])  # exactly dependent columns
+            return np.hstack([col, col]), eta, 0.0  # exactly dependent columns
 
-        monkeypatch.setattr(kernel_module, "partial_gram_schmidt", degenerate_factor)
+        monkeypatch.setattr(kernel_module, "_pivoted_factor", degenerate_factor)
         with pytest.raises(NumericalError, match="decrease eta or increase kappa"):
             fit_kernel_cca_pgso(pair, kappa=0.1, r=1)
 
