@@ -96,16 +96,34 @@ def _check_median_rows(x: np.ndarray) -> None:
         raise ValueError("median heuristic needs finite observations")
 
 
-def _median_width(square: np.ndarray) -> float:
-    """Median distance of the pairs in the strict upper triangle of ``_distance_square``.
+def _condensed_squares(x: np.ndarray) -> np.ndarray:
+    """The squared distances of the pairs of rows of ``x``, in ``pdist``'s
+    order and with its bits: the strict upper triangle of ``_distance_square``
+    by rows, written by row blocks so that no n x n array is made."""
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    d = np.empty(n * (n - 1) // 2)
+    buf = np.empty(DIST_BLOCK)
+    end = 0
+    for block in _row_blocks(n):
+        shape = (block.stop - block.start, n - block.start - 1)
+        rect = buf[: shape[0] * shape[1]].reshape(shape)
+        _squared_distances(xt, block, slice(block.start + 1, n), rect)
+        for i, row in enumerate(rect):
+            d[end:end + row.size - i] = row[i:]
+            end += row.size - i
+    return d
+
+
+def _median_width(d: np.ndarray) -> float:
+    """Median distance of the pairs whose squared distances are ``d``, which
+    the selection reorders in place.
 
     With an even number of pairs the mean of the two central order statistics
-    is returned, as ``numpy.median`` does.  The selection runs in place on a
-    copy of the triangle, and only the central values are square-rooted;
-    ``pdist``'s distance is the root of its squared one, so the result equals
-    ``np.median(pdist(x))`` bit for bit.
+    is returned, as ``numpy.median`` does.  Only the central values are
+    square-rooted; ``pdist``'s distance is the root of its squared one, so the
+    result equals ``np.median(pdist(x))`` bit for bit.
     """
-    d = np.concatenate([square[i, i + 1:] for i in range(square.shape[0] - 1)])
     half = d.size // 2
     d.partition(half)
     upper = np.sqrt(d[half])
@@ -117,10 +135,10 @@ def _median_width(square: np.ndarray) -> float:
 
 def median_heuristic(x) -> float:
     """Median pairwise Euclidean distance between observations (rows of ``x``),
-    taken from the square a gaussian Gram starts from (``_median_width``)."""
+    selected from the condensed pair vector (``_condensed_squares``)."""
     x = np.asarray(x, dtype=float)
     _check_median_rows(x)
-    return _median_width(_distance_square(x))
+    return _median_width(_condensed_squares(x))
 
 
 def _gram(x, spec: KernelSpec) -> tuple[np.ndarray, KernelSpec]:
@@ -135,7 +153,8 @@ def _gram(x, spec: KernelSpec) -> tuple[np.ndarray, KernelSpec]:
         _check_median_rows(x)
     k = _distance_square(x)
     if spec.width is None:
-        spec = KernelSpec("gaussian", _median_width(k))
+        upper = np.concatenate([k[i, i + 1:] for i in range(k.shape[0] - 1)])
+        spec = KernelSpec("gaussian", _median_width(upper))
     np.negative(k, out=k)
     k /= 2.0 * spec.width**2
     np.exp(k, out=k)

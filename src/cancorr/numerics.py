@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri
 
-# scipy.linalg is imported inside the functions that call it: the pmd and
-# simulate commands use none of them and start faster without it.
+# scipy.linalg and scipy.special are imported inside the functions that call
+# them: the pmd and simulate commands use none of them and start faster
+# without them, and only fit and test run the significance test.
 
 # Relative symmetry tolerance for inputs that must be symmetric.
 SYM_RTOL = 1e-12
@@ -432,4 +432,6 @@ def chi2_quantile(p: float, df: int) -> float:
         raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
     if int(df) != df or df < 1:
         raise ValueError(f"df must be a positive integer, got {df}")
+    from scipy.special import chdtri
+
     return float(chdtri(df, 1.0 - p))

@@ -8,6 +8,7 @@ files exactly as a scripted pipeline would.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -1106,8 +1107,9 @@ class TestGeneratedExitContract:
 
 
 # Runs ``python -m cancorr ARGV`` in this interpreter and writes, as JSON, its
-# exit code, every module loaded by the end of the run, and the modules loaded
-# after the CLI first read its clock (the start of the timed region).
+# exit code, every module loaded by the end of the run, the public scipy
+# subpackages among them, and the modules loaded after the CLI first read its clock (the
+# start of the timed region).
 START_UP_PROBE = """
 import json, runpy, sys, time
 
@@ -1132,6 +1134,9 @@ except SystemExit as exc:
 loaded = set(sys.modules)
 with open(out_path, "w", encoding="utf-8") as fh:
     json.dump({"exit": code, "marks": len(marks), "loaded": sorted(loaded),
+               "scipy": sorted(m for m in loaded if m.startswith("scipy.") and m.count(".") == 1
+                               and not m.startswith("scipy._")
+                               and hasattr(sys.modules[m], "__path__")),
                "timed": sorted(loaded - marks[0]) if marks else None}, fh)
 """
 
@@ -1152,33 +1157,43 @@ def start_up_probe(tmp_path, *argv) -> dict:
 
 class TestStartUp:
     """Each command, in a fresh interpreter, imports its layers before the
-    timer starts, and loads only the scipy modules it computes with."""
+    timer starts, and loads only the scipy modules it computes with: the
+    linear and kernel commands scipy.linalg, and only the two that run the
+    significance test scipy.special."""
 
-    @pytest.mark.parametrize("argv, expect_exit, absent", [
-        (("fit", "--recipe", "example1", "--test-split", "0.4"), 0, ("scipy.spatial",)),
-        (("test", "--recipe", "example1"), 0, ("scipy.spatial",)),
-        (("biplot", "--recipe", "example1"), 0, ("scipy.spatial",)),
+    @pytest.mark.parametrize("argv, expect_exit, scipy_packages", [
+        (("fit", "--recipe", "example1", "--test-split", "0.4"), 0,
+         ("scipy.linalg", "scipy.special")),
+        (("test", "--recipe", "example1"), 0, ("scipy.linalg", "scipy.special")),
+        (("biplot", "--recipe", "example1"), 0, ("scipy.linalg",)),
         (("cv", "--recipe", "example6", "--grid-c1", "0.1,10", "--grid-c2", "0.1,10",
-          "--folds", "2", "--reps", "1"), 0, ("scipy.spatial",)),
+          "--folds", "2", "--reps", "1"), 0, ("scipy.linalg",)),
         # example7's n = 150 is below top_svd's Lanczos crossover
-        (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0,
-         ("scipy.sparse.linalg", "scipy.spatial")),
-        (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.sparse.linalg", "scipy.spatial")),
-        (("pdscca", "--recipe", "example10", "--basis", "0"), 0,
-         ("scipy.linalg", "scipy.spatial")),
+        (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0, ("scipy.linalg",)),
+        (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.linalg",)),
+        (("pdscca", "--recipe", "example10", "--basis", "0"), 0, ()),
+        # example10's views, read from CSV
+        (("pdscca", "--basis", "0"), 0, ()),
         (("pmd", "--recipe", "example9", "--budget-a", "1.2", "--budget-b", "1.2",
-          "--components", "3"), 0, ("scipy.linalg", "scipy.spatial")),
-        (("simulate", "--recipe", "example1"), 0, ("scipy.linalg", "scipy.spatial")),
+          "--components", "3"), 0, ()),
+        (("simulate", "--recipe", "example1"), 0, ()),
         # example6 is wider than it is long: the plain fit fails numerically
-        (("fit", "--recipe", "example6"), 3, ("scipy.spatial",)),
-    ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-pgso", "pdscca", "pmd", "simulate",
-            "fit-exit3"])
-    def test_timed_region_loads_no_module(self, tmp_path, argv, expect_exit, absent):
+        (("fit", "--recipe", "example6"), 3, ("scipy.linalg", "scipy.special")),
+    ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-pgso", "pdscca", "pdscca-csv", "pmd",
+            "simulate", "fit-exit3"])
+    def test_timed_region_loads_no_module(self, tmp_path, argv, expect_exit, scipy_packages):
+        if "--recipe" not in argv:
+            data = generate_synthetic(get_recipe("example10", seed=0))
+            write_view_csv(tmp_path / "a.csv", data.view_a, data.names_a)
+            write_view_csv(tmp_path / "b.csv", data.view_b, data.names_b)
+            argv += ("--view-a", str(tmp_path / "a.csv"), "--view-b", str(tmp_path / "b.csv"))
         probe = start_up_probe(tmp_path, *argv)
         assert probe["exit"] == expect_exit
         assert probe["marks"] == (2 if expect_exit == 0 else 1)
         assert probe["timed"] == []
-        assert not set(absent) & set(probe["loaded"])
+        assert probe["scipy"] == list(scipy_packages)
+        if not scipy_packages:
+            assert not [m for m in probe["loaded"] if m.split(".")[0] == "scipy"]
 
     def test_no_source_file_imports_scipy_spatial(self):
         # kernel distances come from a numpy loop; scipy.spatial's package
@@ -1186,4 +1201,26 @@ class TestStartUp:
         src = Path(cli.__file__).resolve().parent
         for path in sorted(src.glob("*.py")):
             assert "scipy.spatial" not in path.read_text(encoding="utf-8"), path.name
+
+    def test_no_source_file_imports_scipy_special_at_module_level(self):
+        # scipy.special costs a launch about 0.24 s next to numpy alone; only
+        # the significance test's chi2_quantile imports it, when it runs
+        src = Path(cli.__file__).resolve().parent
+        for path in sorted(src.glob("*.py")):
+            imported = list(module_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+            assert not [m for m in imported if m.startswith("scipy.special")], path.name
+
+
+def module_level_imports(tree: ast.Module):
+    """The dotted names a module imports when it is loaded: every import
+    outside a function body, ``from X import Y`` giving ``X.Y``."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.extend(ast.iter_child_nodes(node))
 

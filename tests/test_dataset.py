@@ -1,9 +1,12 @@
 """Paired data handling: standardization, covariance blocks, recipes, folds, CSV."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from cancorr import (
     PairedDataset,
@@ -19,6 +22,7 @@ from cancorr import (
     take_rows,
     write_view_csv,
 )
+from cancorr.dataset import TRANSFORMS, _ndtri
 
 
 class TestPairedDataset:
@@ -253,6 +257,65 @@ class TestRecipes:
         )
         assert set(signals) == {"exp(a3)", "a1^3", "-a4"}
         assert all(v.shape == (150,) for v in signals.values())
+
+
+def scipy_draw(recipe: SyntheticRecipe) -> PairedDataset:
+    """``generate_synthetic`` as it read with ``scipy.special.ndtri``: one
+    integer draw per view and per relation's noise, in that order."""
+    rng = np.random.default_rng(recipe.seed)
+
+    def normal(size):
+        return ndtri(rng.integers(1, 1 << 53, size=size) / float(1 << 53))
+
+    view_a = normal((recipe.n, recipe.p))
+    view_b = normal((recipe.n, recipe.q))
+    for rel in recipe.relations:
+        noise = rel.noise_std * normal(recipe.n)
+        view_b[:, rel.target] = TRANSFORMS[rel.transform][0](view_a[:, rel.source]) + noise
+    return standardize(PairedDataset(view_a, view_b))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestNormalVariates:
+    """The recipes' inverse-CDF variates equal ``scipy.special.ndtri``'s bit for bit."""
+
+    def test_grid_of_53_bit_uniforms(self):
+        # every (2**33 - 1)-th 53-bit uniform, then a geometric grid that
+        # fills both tails down to 2**-53, where the linear one is sparse
+        linear = np.arange(1, 1 << 53, (1 << 33) - 1, dtype=np.int64)
+        geometric = np.unique(np.geomspace(1, 1 << 52, 400_000).astype(np.int64))
+        k = np.concatenate([linear, geometric, (1 << 53) - geometric])
+        u = k / float(1 << 53)
+        assert_same_bits(_ndtri(u), ndtri(u))
+
+    def test_branch_edges(self):
+        exp_m2, exp_m32 = math.exp(-2.0), math.exp(-32.0)
+        edges = [2.0**-53, 1.0 - 2.0**-53, 0.5, exp_m2, 1.0 - exp_m2, 0.13533528323661269189,
+                 exp_m32, 1.0 - exp_m32]
+        near = [np.nextafter(v, toward) for v in edges for toward in (0.0, 1.0)]
+        # steps of 2**-53, the recipes' uniform spacing, around both x = 8 edges
+        step = 2.0**-53
+        grid = ([exp_m32 + i * step for i in range(-4, 5)]
+                + [1.0 - exp_m32 + i * step for i in (-1, 0, 1)])
+        # deep in the P2/Q2 tail: every power of two from 2**-53 to 2**-47, and far below
+        deep = [2.0**-j for j in range(47, 54)] + [1e-20, 1e-100, 1e-300, 5e-324]
+        u = np.array(edges + near + grid + deep)
+        u = u[(0.0 < u) & (u < 1.0)]  # the neighbours of 1 - 2**-53 include 1
+        assert (u < exp_m32).sum() >= 10 and (1.0 - u < exp_m32).sum() >= 3
+        assert_same_bits(_ndtri(u), ndtri(u))
+
+    @pytest.mark.parametrize("recipe_id, n", [("example1", None), ("example8", 3000),
+                                              ("example9", None)])
+    def test_recipes_equal_the_scipy_draw(self, recipe_id, n):
+        for seed in (0, 1, 7):
+            recipe = get_recipe(recipe_id, seed=seed, n=n)
+            got, want = generate_synthetic(recipe), scipy_draw(recipe)
+            assert_same_bits(got.view_a, want.view_a)
+            assert_same_bits(got.view_b, want.view_b)
 
 
 class TestSplitFolds:

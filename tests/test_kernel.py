@@ -1087,6 +1087,15 @@ class TestWorkingSet:
         _, peak = traced_peak(gram, data.view_a, KernelSpec("gaussian", 3.0))
         assert peak <= 1.05 * self.n**2
 
+    def test_median_heuristic_allocates_only_the_pair_vector(self):
+        # n(n - 1)/2 pairs, about 0.5 n^2, and two distance-block temporaries,
+        # which at n = 3000 are 1.5% of n^2; the n x n square would be 1.0 n^2
+        n = 3000
+        view = generate_synthetic(get_recipe("example8", seed=0, n=n)).view_a
+        width, peak = traced_peak(median_heuristic, view)
+        assert width == float(np.median(pdist(view)))
+        assert peak <= 0.55 * n**2
+
     def test_center_gram_allocates_only_its_output(self, data):
         k = gram(data.view_a, KernelSpec("gaussian", 3.0))
         _, peak = traced_peak(center_gram, k)
