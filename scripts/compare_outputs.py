@@ -13,8 +13,10 @@ Usage:
     python scripts/compare_outputs.py OLD NEW [--seeds 0-15]
         [--extra "pdscca --recipe example10 --basis 23" ...]
 
-``--extra`` adds a command line, run at every chosen seed with ``--seed`` and
-``--out`` appended.
+Besides the workloads' invocations, every chosen seed runs ``SOLVER_ROUTES``,
+the command lines of the solver routes that no workload takes, with
+``--seed`` and ``--out`` appended; they add about 3 minutes to a 16-seed
+comparison.  ``--extra`` adds a further command line, run the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ from workloads import DATA_SEEDS, WORKLOADS, invocations  # noqa: E402
 # Lines of a unified diff printed per differing stream or file.
 DIFF_LINES = 20
 
+# The solver routes that no workload takes, compared at every chosen seed.
+SOLVER_ROUTES = (
+    "fit --recipe example1 --solver eig",
+    "fit --recipe example1 --solver geneig",
+    "fit --recipe example6 --solver geneig",
+    "test --recipe example1 --solver eig",
+    "biplot --recipe example1 --solver geneig --view b",
+    "kcca --recipe example7 --pgso",
+    "kcca --recipe example7 --kernel-a linear --sigma-b 2.5",
+    "pdscca --recipe example10 --basis 23",
+    "pdscca --recipe example10 --kernel-b linear --mu 0 --gamma 0",
+    "pmd --recipe example10 --budget-a 1 --budget-b 1 --components 50",
+)
+
 
 def parse_seeds(text: str) -> list[int]:
     """``"0-15"``, ``"3"`` or ``"0,3,7"`` as a sorted list of data seeds."""
@@ -54,7 +70,7 @@ def command_lines(seeds, extras) -> list[tuple[str, tuple[str, ...]]]:
         for seed in seeds:
             for inv in invocations(workload, seed):
                 runs.setdefault(inv.argv, f"{workload}/{inv.name}")
-    for extra in extras:
+    for extra in (*SOLVER_ROUTES, *extras):
         words = tuple(shlex.split(extra))
         for seed in seeds:
             name = f"extra/{'_'.join(words)}-s{seed}"

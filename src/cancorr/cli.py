@@ -503,14 +503,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for the report and CSV side files")
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and echoed in report.json; no command uses it")
+    # the flags that two or three commands share, each declared once
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
+    alpha = argparse.ArgumentParser(add_help=False)
+    alpha.add_argument("--alpha", type=float, default=0.01)
+    kernel_b = argparse.ArgumentParser(add_help=False)
+    kernel_b.add_argument("--kernel-b", choices=("gaussian", "linear"), default="gaussian")
+    kernel_b.add_argument("--sigma-b", default="median")
 
-    fit = subs.add_parser("fit", parents=[source, common],
+    fit = subs.add_parser("fit", parents=[source, common, solver, alpha],
                           help="linear fit with significance and optional held-out scoring")
     fit.add_argument("--test-split", type=float, default=None,
                      help="hold out this fraction of rows for generalisation testing")
-    fit.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     fit.add_argument("--components", type=int, default=None)
-    fit.add_argument("--alpha", type=float, default=0.01)
     fit.set_defaults(func=_cmd_fit)
 
     cv = subs.add_parser("cv", parents=[source, common],
@@ -524,13 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="components for the final refit at the selected ridges")
     cv.set_defaults(func=_cmd_cv)
 
-    kcca = subs.add_parser("kcca", parents=[source, common],
+    kcca = subs.add_parser("kcca", parents=[source, common, kernel_b],
                            help="kernel fit (direct pencil or reduced route)")
     kcca.add_argument("--kernel-a", choices=("gaussian", "linear"), default="gaussian")
-    kcca.add_argument("--kernel-b", choices=("gaussian", "linear"), default="gaussian")
     kcca.add_argument("--sigma-a", default="median",
                       help="gaussian width for view a: 'median' or a number")
-    kcca.add_argument("--sigma-b", default="median")
     kcca.add_argument("--c1", type=float, default=0.1)
     kcca.add_argument("--c2", type=float, default=0.1)
     kcca.add_argument("--components", type=int, default=3)
@@ -549,10 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     pmd.add_argument("--components", type=int, default=1)
     pmd.set_defaults(func=_cmd_pmd)
 
-    pd = subs.add_parser("pdscca", parents=[source, common],
+    pd = subs.add_parser("pdscca", parents=[source, common, kernel_b],
                          help="sparse primal weights against one kernel basis column")
-    pd.add_argument("--kernel-b", choices=("gaussian", "linear"), default="gaussian")
-    pd.add_argument("--sigma-b", default="median")
     pd.add_argument("--mu", type=float, default=None,
                     help="1-norm penalty on the primal weights (default 0.1 max|X'K|)")
     pd.add_argument("--gamma", type=float, default=None,
@@ -561,15 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fix the pinned basis column (0-based); default scans all")
     pd.set_defaults(func=_cmd_pdscca)
 
-    test = subs.add_parser("test", parents=[source, common],
+    test = subs.add_parser("test", parents=[source, common, solver, alpha],
                            help="sequential significance test of the correlations")
-    test.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
-    test.add_argument("--alpha", type=float, default=0.01)
     test.set_defaults(func=_cmd_test)
 
-    biplot = subs.add_parser("biplot", parents=[source, common],
+    biplot = subs.add_parser("biplot", parents=[source, common, solver],
                              help="structure-correlation table for an image pair")
-    biplot.add_argument("--solver", choices=SOLVER_NAMES, default="svd")
     biplot.add_argument("--pair", default="1,2", help="two 1-based component numbers, e.g. 1,2")
     biplot.add_argument("--view", choices=("a", "b"), default="a")
     biplot.set_defaults(func=_cmd_biplot)

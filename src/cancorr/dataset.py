@@ -261,36 +261,28 @@ RECIPES: dict[str, SyntheticRecipe] = {
 # Functions*, 1989), the code behind ``scipy.special.ndtri``: rational
 # approximations in y - 1/2 on the centre, y in (exp(-2), 1 - exp(-2)), and in
 # 1/x with x = sqrt(-2 log y) on the tails, split at x = 8 (y = exp(-32)).
-# Leading coefficient first; the denominators' leading 1 is implicit.
+# Leading coefficient first, as ``np.polyval`` takes them; its Horner step
+# ``y = y * x + c``, from ``y = 0``, is Cephes' ``polevl`` step for step, and
+# the denominators start with the 1 that Cephes' ``p1evl`` implies.
 _NDTRI_EXP_M2 = 0.13533528323661269189
 _NDTRI_S2PI = 2.50662827463100050242
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
              1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
              -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
              1.59056225126211695515e1, -1.18331621121330003142e0)
 _NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
              4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
              -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
              1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
              -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 _NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
              1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
              3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
              2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
              2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
-    """Cephes ``polevl`` (``p1evl`` when ``monic``, with an implicit leading 1):
-    one rounded multiply, then one rounded add, per coefficient."""
-    acc = x + coefs[0] if monic else np.full_like(x, coefs[0])
-    for c in coefs[1:]:
-        acc *= x
-        acc += c
-    return acc
 
 
 def _libm_log(v: np.ndarray) -> np.ndarray:
@@ -311,7 +303,7 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     owned = np.flatnonzero(centre)
     c = y[owned] - 0.5
     c2 = c * c
-    out[owned] = (c + c * (c2 * _horner(c2, _NDTRI_P0) / _horner(c2, _NDTRI_Q0, monic=True))) \
+    out[owned] = (c + c * (c2 * np.polyval(_NDTRI_P0, c2) / np.polyval(_NDTRI_Q0, c2))) \
         * _NDTRI_S2PI
     owned = np.flatnonzero(~centre)
     x = np.sqrt(-2.0 * _libm_log(y[owned]))
@@ -322,7 +314,7 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     for rows, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
         if rows.any():  # below exp(-32) lie 2.5e-14 of the recipes' draws
             zr = z[rows]
-            x1[rows] = zr * _horner(zr, p) / _horner(zr, q, monic=True)
+            x1[rows] = zr * np.polyval(p, zr) / np.polyval(q, zr)
     x = x0 - x1
     out[owned] = np.where(upper[owned], x, -x)
     return out

@@ -26,15 +26,12 @@ def _validated_correlations(
         )
     if np.any(r < 0) or np.any(r > 1):
         raise ValueError("correlations must lie in [0, 1]")
-    perfect = r >= 1.0 - PERFECT_TOL
-    if np.any(perfect):
-        if not clamp_perfect:
-            raise ValueError(
-                "a correlation is numerically 1, which makes the statistic infinite; "
-                "pass clamp_perfect=True to clamp it just below 1"
-            )
-        r = np.where(perfect, 1.0 - PERFECT_TOL, r)
-    return r
+    if not clamp_perfect and np.any(r >= 1.0 - PERFECT_TOL):
+        raise ValueError(
+            "a correlation is numerically 1, which makes the statistic infinite; "
+            "pass clamp_perfect=True to clamp it just below 1"
+        )
+    return np.minimum(r, 1.0 - PERFECT_TOL)
 
 
 def bartlett_lawley(

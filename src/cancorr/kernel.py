@@ -11,8 +11,8 @@ import numpy as np
 
 from .dataset import PairedDataset, write_csv_rows
 from .numerics import (
-    COND_LIMIT, NumericalError, _pivoted_factor, check_symmetric, fix_signs, pearson_columns,
-    ranked_pairs, require_components, top_svd, well_conditioned,
+    COND_LIMIT, NumericalError, _pivoted_factor, check_eta, check_symmetric, fix_signs,
+    pearson_columns, ranked_pairs, require_components, require_conditioned, top_svd,
 )
 
 # scipy.linalg is imported inside the functions that call it: the pdscca
@@ -315,13 +315,8 @@ def _ridged_inverse(k: np.ndarray, c: float) -> np.ndarray:
     if inverse is not None:
         if norm * scipy.linalg.norm(inverse, np.inf, check_finite=False) < COND_LIMIT:
             return inverse
-    ridged = scipy.linalg.eigvalsh(k, lower=False) + c
-    if not well_conditioned(ridged):
-        raise NumericalError(
-            "B is not positive definite within working precision "
-            f"(ridged gram eigenvalue range [{ridged[0]:.3e}, {ridged[-1]:.3e}]); "
-            "add ridge regularisation to the constraint blocks"
-        )
+    require_conditioned(scipy.linalg.eigvalsh(k, lower=False) + c,
+                        spectrum="ridged gram eigenvalue range")
     if inverse is None:
         raise NumericalError("the Cholesky factorisation of a ridged gram failed")
     return inverse
@@ -397,8 +392,8 @@ def _check_pgso(kappa: float, eta: float | None, r: int) -> None:
     """Reject arguments the reduced route cannot fit, before any Gram is built."""
     if not (np.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    if eta is not None and not (np.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    if eta is not None:
+        check_eta(eta)
     if r < 1:
         raise ValueError(f"components must be at least 1, got {r}")
 

@@ -109,6 +109,25 @@ def well_conditioned(values: np.ndarray) -> np.ndarray:
     return (values[..., -1] > 0) & (values[..., 0] > values[..., -1] / COND_LIMIT)
 
 
+def require_conditioned(
+    values: np.ndarray,
+    what: str = "B is not positive definite within working precision",
+    spectrum: str = "eigenvalue range",
+    advice: str = "add ridge regularisation to the constraint blocks",
+) -> None:
+    """Raise ``NumericalError`` unless the ascending spectrum ``values`` is
+    ``well_conditioned``; the message names ``what`` failed, the ``spectrum``'s
+    range and the ``advice``.  The defaults word a constraint block's refusal."""
+    if not well_conditioned(values):
+        raise NumericalError(f"{what} ({spectrum} [{values[0]:.3e}, {values[-1]:.3e}]); {advice}")
+
+
+def check_eta(eta: float) -> None:
+    """Raise ``ValueError`` unless the residual-trace cutoff ``eta`` is finite and nonnegative."""
+    if not (np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+
+
 def require_components(correlations, r: int) -> None:
     """Raise ``NumericalError`` unless at least ``r`` of ``correlations`` exceed 1e-12."""
     usable = int(np.count_nonzero(np.asarray(correlations) > 1e-12))
@@ -197,8 +216,11 @@ def sym_eig(a) -> EigenResult:
     """
     import scipy.linalg
 
-    a = check_symmetric(a)
-    values, vectors = scipy.linalg.eigh(a)
+    return _descending(*scipy.linalg.eigh(check_symmetric(a)))
+
+
+def _descending(values: np.ndarray, vectors: np.ndarray) -> EigenResult:
+    """Ascending eigenpairs as an ``EigenResult``: descending, signs fixed by ``fix_signs``."""
     order = np.argsort(-values, kind="stable")
     return EigenResult(values[order], fix_signs(vectors[:, order]))
 
@@ -215,16 +237,8 @@ def gen_eig_sym(a, b) -> EigenResult:
     b = check_symmetric(b, name="B")
     if a.shape != b.shape:
         raise ValueError(f"A and B must have equal shapes, got {a.shape} and {b.shape}")
-    beigs = scipy.linalg.eigvalsh(b)
-    if not well_conditioned(beigs):
-        raise NumericalError(
-            "B is not positive definite within working precision "
-            f"(eigenvalue range [{beigs[0]:.3e}, {beigs[-1]:.3e}]); "
-            "add ridge regularisation to the constraint blocks"
-        )
-    values, vectors = scipy.linalg.eigh(a, b)
-    order = np.argsort(-values, kind="stable")
-    return EigenResult(values[order], fix_signs(vectors[:, order]))
+    require_conditioned(scipy.linalg.eigvalsh(b))
+    return _descending(*scipy.linalg.eigh(a, b))
 
 
 def svd(m) -> SvdResult:
@@ -234,11 +248,16 @@ def svd(m) -> SvdResult:
     matching column of ``v`` is flipped together with it so that
     ``m = u @ diag(s) @ v.T`` always holds.
     """
+    u, s, vh = np.linalg.svd(_checked_matrix(m), full_matrices=False)
+    return _signed_svd(u, s, vh.T)
+
+
+def _checked_matrix(m) -> np.ndarray:
+    """``as_checked_array(m)``, refused unless 2-d."""
     m = as_checked_array(m)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {m.shape}")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return _signed_svd(u, s, vh.T)
+    return m
 
 
 def _signed_svd(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdResult:
@@ -253,12 +272,8 @@ def inv_sqrt_spd(a) -> np.ndarray:
 
     a = check_symmetric(a)
     values, vectors = scipy.linalg.eigh(a)
-    if not well_conditioned(values):
-        raise NumericalError(
-            "matrix is numerically singular "
-            f"(eigenvalue range [{values[0]:.3e}, {values[-1]:.3e}]); "
-            "use the ridge-regularised fit instead"
-        )
+    require_conditioned(values, "matrix is numerically singular",
+                        advice="use the ridge-regularised fit instead")
     x = (vectors / np.sqrt(values)) @ vectors.T
     # symmetrise away the last bits of roundoff
     return (x + x.T) / 2.0
@@ -298,9 +313,7 @@ def top_svd(m, r: int) -> SvdResult:
     """
     import scipy.linalg
 
-    m = as_checked_array(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {m.shape}")
+    m = _checked_matrix(m)
     rows = m.shape[0]
     if not 1 <= r <= min(m.shape):
         raise ValueError(f"r must satisfy 1 <= r <= {min(m.shape)}, got {r}")
@@ -371,8 +384,7 @@ def partial_gram_schmidt(k, eta: float) -> np.ndarray:
     ndarray of shape (n, m) with m <= n such that ``k ~= r @ r.T``.
     """
     k = check_symmetric(k, name="gram matrix")
-    if not (np.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    check_eta(eta)
     return _pivoted_factor(k, eta)[0]
 
 

@@ -503,6 +503,24 @@ class TestSquaredDistances:
         finally:
             kernel_module.DIST_BLOCK = saved
 
+    @pytest.mark.parametrize("p", [8, 9, 31, 150])
+    def test_thin_blocks_called_directly(self, p):
+        """1 x 1, n x 1 and 1 x n blocks of any rows against any range of
+        columns, at per-feature scales of 1e-3 and 1e3: ``cdist``'s bits."""
+        rng = np.random.default_rng(p)
+        n = 30
+        for _ in range(25):
+            x = rng.standard_normal((n, p)) * 10.0 ** rng.choice([-3.0, 3.0], size=p)
+            xt = np.ascontiguousarray(x.T)
+            i, j = rng.integers(n, size=2)
+            start, stop = np.sort(rng.choice(n + 1, size=2, replace=False))
+            for rows, cols in ((slice(i, i + 1), slice(j, j + 1)),
+                               (slice(start, stop), slice(j, j + 1)),
+                               (slice(i, i + 1), slice(start, stop))):
+                out = np.empty((rows.stop - rows.start, cols.stop - cols.start))
+                assert kernel_module._squared_distances(xt, rows, cols, out) is out
+                assert np.array_equal(out, cdist(x[rows], x[cols], "sqeuclidean"))
+
     def test_two_rows_and_one_feature(self):
         x = np.array([[0.5], [-2.0]])
         assert np.array_equal(kernel_module._distance_square(x), [[0.0, 6.25], [6.25, 0.0]])

@@ -13,6 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cancorr.kernel import GramPair, KernelSpec, fit_kernel_cca
 from cancorr.numerics import (
     LANCZOS_MIN_ROWS,
     SYM_BLOCK,
@@ -681,3 +682,37 @@ class TestHelpers:
         else:
             with pytest.raises(ValueError, match="not symmetric"):
                 check_symmetric(a)
+
+
+class TestRefusalTexts:
+    """The full refusal messages, which one helper each now words, pinned whole."""
+
+    @pytest.mark.parametrize("refused, error, message", [
+        (lambda: gen_eig_sym(np.eye(2), np.diag([1.0, -1.0])), NumericalError,
+         "B is not positive definite within working precision "
+         "(eigenvalue range [-1.000e+00, 1.000e+00]); "
+         "add ridge regularisation to the constraint blocks"),
+        (lambda: inv_sqrt_spd(np.diag([0.0, 1.0])), NumericalError,
+         "matrix is numerically singular (eigenvalue range [0.000e+00, 1.000e+00]); "
+         "use the ridge-regularised fit instead"),
+        (lambda: fit_kernel_cca(GramPair(np.diag([-1.0, 1.0]), np.eye(2), KernelSpec("linear"),
+                                         KernelSpec("linear")), 0.1, 0.1, 1), NumericalError,
+         "B is not positive definite within working precision "
+         "(ridged gram eigenvalue range [-9.000e-01, 1.100e+00]); "
+         "add ridge regularisation to the constraint blocks"),
+        (lambda: partial_gram_schmidt(np.eye(2), -1.0), ValueError,
+         "eta must be finite and nonnegative, got -1.0"),
+    ], ids=["gen_eig_sym", "inv_sqrt_spd", "fit_kernel_cca", "partial_gram_schmidt"])
+    def test_library_messages(self, refused, error, message):
+        with pytest.raises(error) as caught:
+            refused()
+        assert str(caught.value) == message
+
+    def test_cli_pgso_negative_eta(self, tmp_path, capsys):
+        from cancorr.cli import main
+
+        assert main(["kcca", "--recipe", "example7", "--pgso", "--eta", "-1",
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eta must be finite and nonnegative, got -1.0\n"
+        assert captured.out == ""

@@ -105,9 +105,22 @@ def test_compare_outputs_plans_each_invocation_once(compare_outputs):
     assert len(names) == len(set(names))
     assert [name for name in names if name.startswith("sparse_scan/")] == [
         f"sparse_scan/pdscca-s{s}" for s in (0, 1, 2, 3)]
+    # every solver route runs once at each seed, under its own name
+    routes = [name for name in names if name.startswith("extra/")]
+    assert len(routes) == 2 * len(compare_outputs.SOLVER_ROUTES)
+    for route in compare_outputs.SOLVER_ROUTES:
+        stem = f"extra/{'_'.join(route.split())}"
+        assert [name for name in routes if name.rsplit("-s", 1)[0] == stem] == [
+            f"{stem}-s{s}" for s in (0, 1)]
+    # an --extra line that repeats a route adds no run
     extra = compare_outputs.command_lines([3], ["pdscca --recipe example10 --basis 23"])
-    assert extra[-1][1][-4:] == ("--seed", "3", "--out",
-                                 ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")
+    assert extra == compare_outputs.command_lines([3], [])
+    basis = [argv for name, argv in extra if "--basis" in argv]
+    assert len(basis) == 1 and basis[0][-4:] == (
+        "--seed", "3", "--out", ".compare_out/extra/pdscca_--recipe_example10_--basis_23-s3")
+    added = compare_outputs.command_lines([3], ["fit --recipe example9"])
+    assert added[-1][1][-4:] == ("--seed", "3", "--out",
+                                 ".compare_out/extra/fit_--recipe_example9-s3")
 
 
 UNEXECUTED = Path(__file__).resolve().parents[1] / "scripts" / "unexecuted_lines.py"
