@@ -7,7 +7,10 @@ tree in its own scratch directory, so the relative ``--out`` paths (and the
 paths the CLI prints) are the same on both sides.  Every process uses one
 BLAS thread.  The script prints each difference in exit code, stdout, stderr
 (less the ``elapsed:`` line) and the files written, and exits 1 if there is
-any, 0 if there is none.
+any, 0 if there is none.  For a differing JSON or CSV file it also prints the
+largest absolute and relative difference between the floating-point numbers
+at the same position, and "non-numeric difference" when anything else
+differs: a key, a string, an integer, a boolean or a row count.
 
 Usage:
     python scripts/compare_outputs.py OLD NEW [--seeds 0-15]
@@ -22,8 +25,13 @@ comparison.  ``--extra`` adds a further command line, run the same way.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
+import io
+import json
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -108,6 +116,85 @@ def file_diff(old: bytes, new: bytes, path: str) -> list[str]:
         return [f"{path}: binary contents differ"]
 
 
+# A CSV cell written from an integer; a float is written with "%.17g", so a
+# whole-valued float reads as one too, and only a pair of them counts as integers.
+INT_CELL = re.compile(r"[+-]?\d+")
+
+
+class Drift:
+    """The largest differences between the numbers at the same position of two
+    parsed files, each with where it is, and whether anything else differs."""
+
+    def __init__(self):
+        self.abs, self.rel, self.other = (0.0, ""), (0.0, ""), False
+
+    def numbers(self, old: float, new: float, where: str) -> None:
+        if old == new:
+            return
+        if not (math.isfinite(old) and math.isfinite(new)):
+            self.other = True
+            return
+        diff = abs(new - old)
+        self.abs = max(self.abs, (diff, where))
+        self.rel = max(self.rel, (diff / max(abs(old), abs(new)), where))
+
+    def walk_json(self, old, new, where: str = "") -> None:
+        if isinstance(old, float) and isinstance(new, float):
+            self.numbers(old, new, where)
+        elif isinstance(old, dict) and isinstance(new, dict):
+            self.other |= old.keys() != new.keys()
+            for key in sorted(old.keys() & new.keys()):
+                self.walk_json(old[key], new[key], f"{where}.{key}" if where else key)
+        elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+            for i, (o, n) in enumerate(zip(old, new)):
+                self.walk_json(o, n, f"{where}[{i}]")
+        elif type(old) is not type(new) or old != new:
+            self.other = True
+
+    def walk_csv(self, old: str, new: str) -> None:
+        old_rows, new_rows = (list(csv.reader(io.StringIO(t))) for t in (old, new))
+        self.other |= len(old_rows) != len(new_rows)
+        header = old_rows[0] if old_rows else []
+        for r, (o_row, n_row) in enumerate(zip(old_rows, new_rows)):
+            if len(o_row) != len(n_row):
+                self.other = True
+                continue
+            for c, (o, n) in enumerate(zip(o_row, n_row)):
+                if o == n:
+                    continue
+                if INT_CELL.fullmatch(o) and INT_CELL.fullmatch(n):
+                    self.other = True
+                    continue
+                try:
+                    self.numbers(float(o), float(n), f"{header[c] if c < len(header) else c}[{r}]")
+                except ValueError:
+                    self.other = True
+
+    def lines(self) -> list[str]:
+        found = []
+        if self.abs[0] > 0:
+            found.append(f"numeric drift: largest absolute {self.abs[0]:.3g} at {self.abs[1]}, "
+                         f"largest relative {self.rel[0]:.3g} at {self.rel[1]}")
+        if self.other:
+            found.append("non-numeric difference")
+        return found or ["no difference in value"]
+
+
+def numeric_drift(old: bytes, new: bytes, path: str) -> list[str]:
+    """The drift lines of a differing ``.json`` or ``.csv`` file; none for other files."""
+    drift = Drift()
+    try:
+        if path.endswith(".json"):
+            drift.walk_json(json.loads(old), json.loads(new))
+        elif path.endswith(".csv"):
+            drift.walk_csv(old.decode("utf-8"), new.decode("utf-8"))
+        else:
+            return []
+    except ValueError:  # not JSON, or not UTF-8
+        return ["non-numeric difference"]
+    return drift.lines()
+
+
 def compare(old: Path, new: Path, runs) -> list[str]:
     """Run every command line in both trees; return the report lines of each difference."""
     report = []
@@ -133,7 +220,8 @@ def compare(old: Path, new: Path, runs) -> list[str]:
             if old_bytes is None or new_bytes is None:
                 report.append(f"== {path}: written by {'NEW' if old_bytes is None else 'OLD'} only")
             elif old_bytes != new_bytes:
-                report += [f"== {path}", *file_diff(old_bytes, new_bytes, path)]
+                report += [f"== {path}", *numeric_drift(old_bytes, new_bytes, path),
+                           *file_diff(old_bytes, new_bytes, path)]
     return report
 
 

@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -47,8 +48,9 @@ if TYPE_CHECKING:
 SOLVER_NAMES = ("eig", "geneig", "svd")
 # The modules each command computes with: layer modules by relative name and
 # any scipy module a layer imports only inside its functions.  Commands import
-# layer functions when they run; ``main`` imports these modules before it
-# starts the timer, so the reported elapsed time never includes an import.
+# layer functions when they run; ``main`` imports these modules, and those of
+# the chosen ``--solver``, before it starts the timer, so the reported elapsed
+# time never includes an import.
 COMMAND_LAYERS = {
     "fit": (".linear", ".evaluation", "scipy.special"),
     "test": (".linear", ".evaluation", "scipy.special"),
@@ -59,6 +61,8 @@ COMMAND_LAYERS = {
     "pmd": (".sparse",),
     "simulate": (),
 }
+# The scipy modules a solver imports when it runs.
+SOLVER_LAYERS = {"geneig": ("scipy.linalg",)}
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +70,8 @@ COMMAND_LAYERS = {
 
 
 class OutputTracker:
-    """Records the files a command writes, so that a failed run removes them.
+    """Records the files a command writes and the directories it makes for
+    them, so that a failed run removes them.
 
     ``files`` maps a report key to each side file and is the report's
     ``files`` entry; ``report.json`` and its temp file are written unkeyed.
@@ -76,6 +81,13 @@ class OutputTracker:
         self.out_dir = out_dir
         self.paths: list[Path] = []
         self.files: dict[str, str] = {}
+        self.made_dirs: list[Path] = []
+
+    def make_out_dir(self) -> None:
+        """Create ``out_dir`` and its missing parents, noting those it makes."""
+        self.made_dirs = list(takewhile(lambda d: not d.exists(),
+                                        (self.out_dir, *self.out_dir.parents)))
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str, key: str | None = None) -> Path:
         p = self.out_dir / name
@@ -85,9 +97,15 @@ class OutputTracker:
         return p
 
     def cleanup(self) -> None:
+        """Remove the files, then each directory made, deepest first, if it is empty."""
         for p in self.paths:
             try:
                 p.unlink(missing_ok=True)
+            except OSError:
+                pass
+        for d in self.made_dirs:
+            try:
+                d.rmdir()
             except OSError:
                 pass
 
@@ -596,17 +614,17 @@ def _write_report(path: Path, report: dict, tracker: OutputTracker) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for module in COMMAND_LAYERS[args.command]:
+    for module in (*COMMAND_LAYERS[args.command],
+                   *SOLVER_LAYERS.get(getattr(args, "solver", None), ())):
         importlib.import_module(module, __package__)
-    out_dir: Path = args.out
-    tracker = OutputTracker(out_dir)
+    tracker = OutputTracker(args.out)
     # registered first, so a failed run also removes a report left by an earlier one
     report_path = tracker.path("report.json")
     started = time.perf_counter()
     try:
         # a non-finite flag is refused before any command runs
         config = _config_echo(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        tracker.make_out_dir()
         seed = _resolve_seed(args)
         report = args.func(args, seed, tracker)
     except NumericalError as exc:

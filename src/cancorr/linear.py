@@ -10,12 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import CovarianceBlocks, PairedDataset, covariance_blocks
 from .numerics import (
     COND_LIMIT, NumericalError, fix_signs, ranked_pairs, unit_images, well_conditioned,
 )
+
+# numpy's linalg serves every solver but the generalized pencil, whose
+# scipy.linalg import sits inside fit_generalized_eig: the fit, test, biplot
+# and cv commands start without scipy.linalg unless they run that solver.
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,8 @@ class _SpectralCore:
     """
 
     def __init__(self, blocks: CovarianceBlocks):
-        self.values_a, self.vectors_a = scipy.linalg.eigh(blocks.c_aa)
-        self.values_b, self.vectors_b = scipy.linalg.eigh(blocks.c_bb)
+        self.values_a, self.vectors_a = np.linalg.eigh(blocks.c_aa)
+        self.values_b, self.vectors_b = np.linalg.eigh(blocks.c_bb)
         self.cross = self.vectors_a.T @ blocks.c_ab @ self.vectors_b
 
     def solve(self, c1_grid, c2_grid, r: int):
@@ -169,8 +172,8 @@ def _gated_blocks(data: PairedDataset, r: int | None) -> tuple[CovarianceBlocks,
     once both within-view blocks pass the ``COND_LIMIT`` gate."""
     blocks = covariance_blocks(data)
     r = _resolve_r(r, blocks)
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_aa), "C_aa")
-    _check_conditioning(scipy.linalg.eigvalsh(blocks.c_bb), "C_bb")
+    _check_conditioning(np.linalg.eigvalsh(blocks.c_aa), "C_aa")
+    _check_conditioning(np.linalg.eigvalsh(blocks.c_bb), "C_bb")
     return blocks, r
 
 
@@ -236,10 +239,12 @@ def fit_generalized_eig(data: PairedDataset, r: int | None = None) -> CcaModel:
     ``|p - q|`` zeros, and the top ``r`` eigenvectors are split into the two
     weight blocks and renormalised to the unit-variance constraint.
     """
+    import scipy.linalg
+
     blocks, r = _gated_blocks(data, r)
     p, q = blocks.p, blocks.q
     a = np.block([[np.zeros((p, p)), blocks.c_ab], [blocks.c_ba, np.zeros((q, q))]])
-    b = scipy.linalg.block_diag(blocks.c_aa, blocks.c_bb)
+    b = np.block([[blocks.c_aa, np.zeros((p, q))], [np.zeros((q, p)), blocks.c_bb]])
     values, vectors = scipy.linalg.eigh(a, b)
     top = np.argsort(-values, kind="stable")[:r]
     w_a = _unit_variance_columns(vectors[:p, top], blocks.c_aa)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # scipy.linalg and scipy.special are imported inside the functions that call
-# them: the pmd and simulate commands use none of them and start faster
-# without them, and only fit and test run the significance test.
+# them: of the commands, only kcca runs the scipy.linalg helpers here, and only
+# fit and test run the significance test, so the others start without them.
 
 # Relative symmetry tolerance for inputs that must be symmetric.
 SYM_RTOL = 1e-12

@@ -29,13 +29,18 @@ def example7_data():
 
 @pytest.fixture
 def eigen_calls(monkeypatch):
-    """Records each ``scipy.linalg.eigh``/``eigvalsh`` and ``scipy.sparse.linalg.eigsh``
-    call as (name, full), where ``full`` is False for a subset or Lanczos solve."""
+    """Records each ``scipy.linalg.eigh``/``eigvalsh``, ``scipy.sparse.linalg.eigsh``
+    and ``numpy.linalg.eigh``/``eigvalsh`` call as (name, full), where ``full``
+    is False for a subset or Lanczos solve; numpy's are named ``np.eigh`` and
+    ``np.eigvalsh``."""
     calls = []
-    for module, name in ((scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
-                         (scipy.sparse.linalg, "eigsh")):
-        def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
-            calls.append((_name, _name != "eigsh" and "subset_by_index" not in kwargs))
+    for module, name, label in ((scipy.linalg, "eigh", "eigh"),
+                                (scipy.linalg, "eigvalsh", "eigvalsh"),
+                                (scipy.sparse.linalg, "eigsh", "eigsh"),
+                                (np.linalg, "eigh", "np.eigh"),
+                                (np.linalg, "eigvalsh", "np.eigvalsh")):
+        def spy(*args, _original=getattr(module, name), _label=label, **kwargs):
+            calls.append((_label, _label != "eigsh" and "subset_by_index" not in kwargs))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)

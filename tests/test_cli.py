@@ -216,7 +216,7 @@ class TestFitCommand:
         assert run("fit", *source, "--solver", solver, "--out", out) == 3
         assert ("error: weight normalisation failed: a canonical correlation is exactly 0, "
                 "so that weight is undefined; fit with svd") in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_fewer_components_are_the_leading_ones_of_the_full_fit(self, tmp_path):
         argv = ("fit", "--recipe", "example1", "--recipe-n", "100", "--seed", "0",
@@ -876,6 +876,36 @@ class TestErrorExits:
         assert "JSON" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code", [
+        (("kcca", "--recipe", "example7", "--pgso", "--eta", "-1"), 2),
+        # example6 is wider than it is long: the plain fit fails numerically
+        (("fit", "--recipe", "example6"), 3),
+    ], ids=["kcca-exit2", "fit-exit3"])
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, argv, code):
+        assert run(*argv, "--seed", "0", "--out", tmp_path / "new" / "out") == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_a_made_directory_holding_other_files(self, tmp_path,
+                                                                   monkeypatch):
+        simulate = cli._cmd_simulate
+
+        def fails_beside_a_foreign_file(args, seed, tracker):
+            simulate(args, seed, tracker)
+            (args.out / "notes.txt").write_text("not the run's", encoding="utf-8")
+            raise ValueError("forced failure after the side files were written")
+
+        monkeypatch.setattr(cli, "_cmd_simulate", fails_beside_a_foreign_file)
+        out = tmp_path / "new" / "out"
+        assert run("simulate", "--recipe", "example1", "--seed", "0", "--out", out) == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_failed_run_keeps_an_existing_out_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("fit", "--recipe", "example6", "--seed", "0", "--out", out) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(out.iterdir()) == []
+
     def test_report_path_taken_by_a_directory(self, tmp_path, capsys):
         # the report cannot replace a directory, and removing the path in
         # cleanup fails too; the side files go and the directory stays
@@ -1158,16 +1188,18 @@ def start_up_probe(tmp_path, *argv) -> dict:
 class TestStartUp:
     """Each command, in a fresh interpreter, imports its layers before the
     timer starts, and loads only the scipy modules it computes with: the
-    linear and kernel commands scipy.linalg, and only the two that run the
-    significance test scipy.special."""
+    kernel command and the generalized-eigenvalue solver scipy.linalg, and
+    only the two that run the significance test scipy.special."""
 
     @pytest.mark.parametrize("argv, expect_exit, scipy_packages", [
-        (("fit", "--recipe", "example1", "--test-split", "0.4"), 0,
+        (("fit", "--recipe", "example1", "--test-split", "0.4"), 0, ("scipy.special",)),
+        (("fit", "--recipe", "example1", "--solver", "geneig"), 0,
          ("scipy.linalg", "scipy.special")),
-        (("test", "--recipe", "example1"), 0, ("scipy.linalg", "scipy.special")),
-        (("biplot", "--recipe", "example1"), 0, ("scipy.linalg",)),
+        (("test", "--recipe", "example1"), 0, ("scipy.special",)),
+        (("biplot", "--recipe", "example1"), 0, ()),
+        (("biplot", "--recipe", "example1", "--solver", "geneig"), 0, ("scipy.linalg",)),
         (("cv", "--recipe", "example6", "--grid-c1", "0.1,10", "--grid-c2", "0.1,10",
-          "--folds", "2", "--reps", "1"), 0, ("scipy.linalg",)),
+          "--folds", "2", "--reps", "1"), 0, ()),
         # example7's n = 150 is below top_svd's Lanczos crossover
         (("kcca", "--recipe", "example7", "--c1", "1.5", "--c2", "0.6"), 0, ("scipy.linalg",)),
         (("kcca", "--recipe", "example7", "--pgso"), 0, ("scipy.linalg",)),
@@ -1178,9 +1210,9 @@ class TestStartUp:
           "--components", "3"), 0, ()),
         (("simulate", "--recipe", "example1"), 0, ()),
         # example6 is wider than it is long: the plain fit fails numerically
-        (("fit", "--recipe", "example6"), 3, ("scipy.linalg", "scipy.special")),
-    ], ids=["fit", "test", "biplot", "cv", "kcca", "kcca-pgso", "pdscca", "pdscca-csv", "pmd",
-            "simulate", "fit-exit3"])
+        (("fit", "--recipe", "example6"), 3, ("scipy.special",)),
+    ], ids=["fit", "fit-geneig", "test", "biplot", "biplot-geneig", "cv", "kcca", "kcca-pgso",
+            "pdscca", "pdscca-csv", "pmd", "simulate", "fit-exit3"])
     def test_timed_region_loads_no_module(self, tmp_path, argv, expect_exit, scipy_packages):
         if "--recipe" not in argv:
             data = generate_synthetic(get_recipe("example10", seed=0))

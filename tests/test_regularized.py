@@ -117,6 +117,10 @@ class TestFitRegularized:
         assert np.abs(plain.w_a - ridged.w_a).max() <= 1e-6
         assert np.abs(plain.w_b - ridged.w_b).max() <= 1e-6
 
+    def test_each_view_block_eigendecomposed_once(self, eigen_calls):
+        fit_regularized(example6(0), 0.09, 0.0)
+        assert eigen_calls == [("np.eigh", True)] * 2
+
     @pytest.mark.parametrize(
         "recipe, ridges",
         [
@@ -223,6 +227,11 @@ class TestCrossValidate:
         assert surface.selected_c1 == 0.09
         assert surface.selected_c2 == 0.0
         assert surface.scores.shape == (1, 1)
+
+    def test_each_fold_eigendecomposes_each_view_block_once(self, eigen_calls):
+        # the whole grid of a fold shares one eigenbasis per view
+        cross_validate(example6(0), RegularizationConfig(n_folds=5, repetitions=2))
+        assert eigen_calls == [("np.eigh", True)] * (2 * 5 * 2)
 
     def test_duplicated_views_score_high_everywhere(self):
         rng = np.random.default_rng(11)

@@ -96,7 +96,40 @@ def test_compare_outputs_reports_a_changed_report(compare_outputs, source_copy, 
                            init.read_text()))
     report = compare_outputs.compare(COMPARE.parents[1], source_copy, cheap_runs)
     assert "== .bench_out/cli_quick/simulate-s0/report.json" in report
+    assert "non-numeric difference" in report
     assert '+  "version": "0.0.0-changed"' in report
+
+
+def test_compare_outputs_reports_numeric_drift(compare_outputs):
+    drift = compare_outputs.numeric_drift
+    old = b'{"n": 3, "rho": [0.5, 0.25], "fit": {"weight": -2.0}}'
+    moved = b'{"n": 3, "rho": [0.5, 0.2500000001], "fit": {"weight": -2.0000000004}}'
+    assert drift(old, moved, "out/report.json") == [
+        "numeric drift: largest absolute 4e-10 at fit.weight, "
+        "largest relative 4e-10 at rho[1]"]
+    # a key, an integer, a string and a list length are no numbers
+    for other in (b'{"n": 3, "rho": [0.5, 0.25], "fit": {"w": -2.0}}',
+                  b'{"n": 4, "rho": [0.5, 0.25], "fit": {"weight": -2.0}}',
+                  b'{"n": 3, "rho": [0.5, 0.25], "fit": {"weight": "-2"}}',
+                  b'{"n": 3, "rho": [0.5], "fit": {"weight": -2.0}}'):
+        assert drift(old, other, "report.json") == ["non-numeric difference"]
+    assert drift(old, b'{"n": 3.0, "rho": [0.5, 0.5], "fit": {"weight": -2.0}}',
+                 "report.json") == ["numeric drift: largest absolute 0.25 at rho[1], "
+                                    "largest relative 0.5 at rho[1]",
+                                    "non-numeric difference"]
+    old = b"c1,score,failed\r\n0.1,0.5,0\r\n10,0.25,1\r\n"
+    assert drift(old, b"c1,score,failed\r\n0.1,0.5,0\r\n10,0.2500000001,1\r\n",
+                 "cv_surface.csv") == ["numeric drift: largest absolute 1e-10 at score[2], "
+                                       "largest relative 4e-10 at score[2]"]
+    # a whole-valued float may move off an integer
+    assert drift(old, b"c1,score,failed\r\n0.1,0.5,0\r\n10.000000000000002,0.25,1\r\n",
+                 "cv_surface.csv") == ["numeric drift: largest absolute 1.78e-15 at c1[2], "
+                                       "largest relative 1.78e-16 at c1[2]"]
+    for other in (b"c1,score,failed\r\n0.1,0.5,0\r\n10,0.25,2\r\n",
+                  b"c1,score,failed\r\n0.1,0.5,0\r\n",
+                  b"c1,score,failed\r\n0.1,0.5,0\r\n10,n/a,1\r\n"):
+        assert drift(old, other, "cv_surface.csv") == ["non-numeric difference"]
+    assert drift(b"x\n", b"y\n", "view_a.txt") == []
 
 
 def test_compare_outputs_plans_each_invocation_once(compare_outputs):
