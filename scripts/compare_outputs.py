@@ -51,6 +51,10 @@ SOLVER_ROUTES = (
     "fit --recipe example1 --solver geneig",
     "fit --recipe example6 --solver geneig",
     "test --recipe example1 --solver eig",
+    # Bartlett's critical values at df 56, 42, 30 and 20, and at alpha 0.9,
+    # whose quantile is solved on the lower chi-square tail
+    "test --recipe example7",
+    "test --recipe example1 --alpha 0.9",
     "biplot --recipe example1 --solver geneig --view b",
     "kcca --recipe example7 --pgso",
     "kcca --recipe example7 --kernel-a linear --sigma-b 2.5",

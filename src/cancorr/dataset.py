@@ -258,7 +258,7 @@ RECIPES: dict[str, SyntheticRecipe] = {
 
 
 # Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
-# Functions*, 1989), the code behind ``scipy.special.ndtri``: rational
+# Functions*, 1989), the code behind scipy's ``ndtri``: rational
 # approximations in y - 1/2 on the centre, y in (exp(-2), 1 - exp(-2)), and in
 # 1/x with x = sqrt(-2 log y) on the tails, split at x = 8 (y = exp(-32)).
 # Leading coefficient first, as ``np.polyval`` takes them; its Horner step
@@ -292,7 +292,7 @@ def _libm_log(v: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(y0: np.ndarray) -> np.ndarray:
-    """``scipy.special.ndtri``'s bits for 1-d ``y0`` strictly inside (0, 1):
+    """The bits of scipy's ``ndtri`` for 1-d ``y0`` strictly inside (0, 1):
     Cephes' branches, each evaluated on the entries it owns.  The centre and
     the tails are gathered and scattered by index, which numpy does several
     times faster than by a boolean mask of mixed entries."""

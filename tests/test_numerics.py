@@ -504,6 +504,42 @@ class TestChi2Quantile:
         with pytest.raises(ValueError):
             chi2_quantile(0.5, 0)
 
+    def test_table_against_chdtri(self):
+        # the elementary quantile against the chdtri it replaced, at upper
+        # tails 1 - p near alpha; 1 - p cannot be below 1.1e-16, and above 0.5
+        # the solve sums the lower tail
+        from scipy.special import chdtri
+
+        alphas = (1.1e-16, 1e-10, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6)
+        worst = 0.0
+        for df in (*range(1, 301), *range(301, 5001, 37), 20000):
+            for p in (1.0 - alpha for alpha in alphas):
+                expected = float(chdtri(df, 1.0 - p))
+                worst = max(worst, abs(chi2_quantile(p, df) - expected) / expected)
+        assert worst <= 1e-14
+
+    def test_p_below_half_an_ulp_gives_zero(self):
+        # 1 - p rounds to 1, as it does in chdtri's argument
+        from scipy.special import chdtri
+
+        for df in (1, 2, 7):
+            assert chi2_quantile(1e-17, df) == 0.0 == chdtri(df, 1.0 - 1e-17)
+
+    def test_integral_df_of_any_type_gives_the_same_bits(self):
+        for p, df in ((0.99, 12), (0.99, 1), (0.5, 7), (1e-6, 3)):
+            expected = chi2_quantile(p, df)
+            for same in (float(df), np.int64(df), np.float64(df)):
+                assert chi2_quantile(p, same) == expected
+            assert chi2_quantile(np.float64(p), np.int64(df)) == expected
+            assert type(chi2_quantile(np.float64(p), np.int64(df))) is float
+
+    def test_solve_out_of_newton_steps_raises(self, monkeypatch):
+        from cancorr import numerics
+
+        monkeypatch.setattr(numerics, "CHI2_NEWTON_CAP", 1)
+        with pytest.raises(NumericalError, match="did not converge in 1 Newton steps"):
+            chi2_quantile(0.99, 12)
+
     def test_package_import_leaves_out_scipy_optimize(self):
         # scipy.optimize costs about a tenth of a second of every CLI start-up
         # that loads it; the package itself loads no scipy and no layer until
